@@ -6,8 +6,9 @@ For a graph with distinguished vertices s and t:
 * the path-missing complex holds the subsets whose removal still leaves
   an s-t-path.
 
-Both are built here explicitly, together with the deletion-contraction
-recursion for their f-polynomials, closed forms for their reduced Euler
+Both are built here explicitly, together with a deletion-contraction
+engine for the path-missing f-polynomial (the path-free one follows by
+Alexander duality), closed forms for their reduced Euler
 characteristics, sphere/contractible classification, divisibility of the
 f-polynomials by powers of (1+x), and the r-edge-disjoint generalization
 decided by unit-capacity flow.
@@ -15,8 +16,10 @@ decided by unit-capacity flow.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 from typing import Callable, Optional
 
 from .digraph import Digraph, QUASI_CYCLE_PACKING_LIMIT
@@ -157,63 +160,77 @@ def build_pf_r(g: Digraph, r: int, limit: int = BUILD_EDGE_LIMIT) -> SimplicialC
 # -- deletion-contraction f-polynomials --------------------------------------------
 
 
-def _dc_pivot(g: Digraph) -> int:
-    """Lowest-id edge with source s; exists whenever s != t and a path does."""
-    for eid, u, _ in sorted(g.edges):
-        if u == g.s:
-            return eid
-    raise AssertionError("no pivot edge: recursion base cases were missed")
+def _dual_fpoly(f: IntPolynomial, n: int) -> IntPolynomial:
+    """f-polynomial of the Alexander dual on n ground elements:
+    coefficient k is C(n, k) - f[n - k]."""
+    return IntPolynomial(comb(n, k) - f[n - k] for k in range(n + 1))
 
 
-def fpoly_pm_dc(g: Digraph, use_cone_shortcut: bool = False) -> IntPolynomial:
+def fpoly_pm_dc(g: Digraph) -> IntPolynomial:
     """f-polynomial of the path-missing complex, no subset enumeration.
 
-    Base cases: s = t gives the full simplex (1+x)^|E|; no s-t-path gives
-    the empty complex, i.e. 0.  Otherwise split on a pivot edge e with
-    source s: deleting e inside a face corresponds to the graph minus e,
-    keeping it corresponds to the contraction, so
+    s = t gives the full simplex (1+x)^|E|; no s-t-path gives the empty
+    complex, i.e. 0.  Otherwise split on the lowest-id edge e out of s:
+    deleting e inside a face corresponds to the graph minus e, keeping it
+    to the contraction, so
 
         f(G) = f(G/e) + x * f(G \\ e).
 
-    With ``use_cone_shortcut`` a useless edge e is peeled off first via the
-    cone factorization f(G) = (1+x) * f(G \\ e); results are identical.
+    Before each split the graph is reduced without branching.  An edge on
+    no s-t-path is a cone apex, f(G) = (1+x) * f(G \\ e): its source is
+    unreachable from s, t is unreachable from its target, or it is a
+    self-loop, enters s or leaves t.  A sole edge e out of s lies on every
+    s-t-path, so f(G) = f(G/e); a chain of such edges is contracted at
+    once.  Splits are memoized on the edge multiset plus (s, t), and only
+    splits recurse.
     """
-    if g.s == g.t:
-        return IntPolynomial.one_plus_x_power(len(g.edges))
-    if not g.has_st_path():
-        return IntPolynomial()
-    if use_cone_shortcut:
-        useless = g.useless_edges()
-        if useless:
-            smaller = fpoly_pm_dc(g.delete_edge(min(useless)), True)
-            return smaller * IntPolynomial((1, 1))
-    e = _dc_pivot(g)
-    contracted = fpoly_pm_dc(g.contract_edge(e), use_cone_shortcut)
-    deleted = fpoly_pm_dc(g.delete_edge(e), use_cone_shortcut)
-    return contracted + deleted.shift()
+    memo: dict = {}
+
+    def engine(g: Digraph) -> IntPolynomial:
+        cones = 0
+        while g.s != g.t:
+            s, t = g.s, g.t
+            fwd, bwd = g._reachable_from_s(), g._coreachable_to_t()
+            if t not in fwd:
+                return IntPolynomial()
+
+            def useful(u, v):
+                return u in fwd and v in bwd and u != v and v != s and u != t
+
+            # Merge s with the chain of sole useful out-edges behind it.  The
+            # chain edges are contracted; other edges into the merged
+            # vertex now enter s and join the useless edges as cone apexes.
+            merged, out = {s}, [(eid, v) for eid, v in g._out[s] if useful(s, v)]
+            while len(out) == 1 and t not in merged:
+                u = out[0][1]
+                merged.add(u)
+                out = [(eid, w) for eid, w in g._out[u] if w not in merged and useful(u, w)]
+            edges = tuple((eid, s if u in merged else u, v)
+                          for eid, u, v in g.edges if useful(u, v) and v not in merged)
+            cones += len(g.edges) - len(edges) - (len(merged) - 1)
+            if len(edges) < len(g.edges):
+                g = Digraph(tuple(w for w in g.vertices if w == s or w not in merged),
+                            edges, s, s if t in merged else t)
+            if len(merged) == 1:
+                break
+        else:
+            return IntPolynomial.one_plus_x_power(len(g.edges) + cones)
+        key = (g.s, g.t, frozenset(Counter((u, v) for _, u, v in g.edges).items()))
+        if key not in memo:
+            e = out[0][0]  # the lowest-id edge out of s
+            memo[key] = engine(g.contract_edge(e)) + engine(g.delete_edge(e)).shift()
+        return memo[key] * IntPolynomial.one_plus_x_power(cones)
+
+    return engine(g)
 
 
-def fpoly_pf_dc(g: Digraph, use_cone_shortcut: bool = False) -> IntPolynomial:
-    """f-polynomial of the path-free complex by the mirrored recursion:
+def fpoly_pf_dc(g: Digraph) -> IntPolynomial:
+    """f-polynomial of the path-free complex.
 
-        f(G) = f(G \\ e) + x * f(G/e)
-
-    for a pivot edge e with source s; s = t gives 0 and a pathless graph
-    gives the full simplex (1+x)^|E|.
+    The path-missing complex is its Alexander dual, so the coefficients
+    are C(|E|, k) - f_pm[|E| - k] with f_pm from ``fpoly_pm_dc``.
     """
-    if g.s == g.t:
-        return IntPolynomial()
-    if not g.has_st_path():
-        return IntPolynomial.one_plus_x_power(len(g.edges))
-    if use_cone_shortcut:
-        useless = g.useless_edges()
-        if useless:
-            smaller = fpoly_pf_dc(g.delete_edge(min(useless)), True)
-            return smaller * IntPolynomial((1, 1))
-    e = _dc_pivot(g)
-    deleted = fpoly_pf_dc(g.delete_edge(e), use_cone_shortcut)
-    contracted = fpoly_pf_dc(g.contract_edge(e), use_cone_shortcut)
-    return deleted + contracted.shift()
+    return _dual_fpoly(fpoly_pm_dc(g), len(g.edges))
 
 
 # -- closed-form Euler characteristics ------------------------------------------------
@@ -291,7 +308,7 @@ def check_divisibility(g: Digraph,
     (1+x)^(kappa+1)."""
     kappa, _ = g.max_disjoint_quasi_cycles(packing_limit)
     f_pm = fpoly_pm_dc(g)
-    f_pf = fpoly_pf_dc(g)
+    f_pf = _dual_fpoly(f_pm, len(g.edges))
     pm_ok, _ = poly_divisibility(f_pm, kappa)
     pf_ok, _ = poly_divisibility(f_pf, kappa)
     modulus = IntPolynomial.one_plus_x_power(kappa + 1)

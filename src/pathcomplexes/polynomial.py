@@ -6,6 +6,7 @@ here, together with exact division by powers of (1+x).
 
 from __future__ import annotations
 
+from math import comb
 from typing import Iterable
 
 
@@ -81,17 +82,9 @@ class IntPolynomial:
         return acc
 
     @classmethod
-    def constant(cls, c: int) -> "IntPolynomial":
-        return cls((c,))
-
-    @classmethod
     def one_plus_x_power(cls, n: int) -> "IntPolynomial":
-        """(1+x)^n via repeated multiplication."""
-        out = cls((1,))
-        step = cls((1, 1))
-        for _ in range(n):
-            out = out * step
-        return out
+        """(1+x)^n from its binomial coefficients."""
+        return cls(comb(n, k) for k in range(n + 1))
 
     def divmod_monic(self, divisor: "IntPolynomial") -> tuple["IntPolynomial", "IntPolynomial"]:
         """Long division by a monic divisor; exact over the integers."""

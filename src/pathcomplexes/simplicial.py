@@ -92,22 +92,13 @@ class SimplicialComplex:
         """True for the complex with no faces at all."""
         return not self.faces
 
-    def faces_sorted(self) -> list[Face]:
-        return sorted(self.faces, key=lambda f: (len(f), sorted(f)))
-
     def facets(self) -> list[Face]:
         """Inclusion-maximal faces, in (size, lexicographic) order."""
-        # Checking one size up suffices: downward closure populates every
-        # intermediate size between a face and anything containing it.
+        # Checking one-element extensions suffices: downward closure puts
+        # such an extension between a face and anything containing it.
         out = [f for f in self.faces
-               if not any(f < g for g in self.faces if len(g) == len(f) + 1)]
+               if not any(f | {x} in self.faces for x in self.ground if x not in f)]
         return sorted(out, key=lambda f: (len(f), sorted(f)))
-
-    def dim(self) -> int:
-        """Largest face size minus one; -2 for the empty complex."""
-        if not self.faces:
-            return -2
-        return max(len(f) for f in self.faces) - 1
 
     # -- element operations ----------------------------------------------------
 
@@ -138,10 +129,6 @@ class SimplicialComplex:
         """True iff adding w to any face yields a face (vacuous when faceless)."""
         self._require_element(w)
         return all(f | {w} in self.faces for f in self.faces)
-
-    def cone_apexes(self) -> list[int]:
-        """All ground elements that serve as cone apexes, in ground order."""
-        return [w for w in self.ground if self.is_cone_with_apex(w)]
 
     def is_cone(self) -> bool:
         return any(self.is_cone_with_apex(w) for w in self.ground)

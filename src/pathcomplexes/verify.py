@@ -697,16 +697,10 @@ def _chk_divisibility(ctx: _Ctx):
 def _chk_dc(ctx: _Ctx):
     if not ctx.can_enumerate():
         return _ENUM_SKIP
-    g = ctx.g
-    pm_dc, pf_dc = fpoly_pm_dc(g), fpoly_pf_dc(g)
-    if pm_dc != ctx.pm.f_polynomial():
+    if fpoly_pm_dc(ctx.g) != ctx.pm.f_polynomial():
         return _fail("path-missing recursion differs from enumeration")
-    if pf_dc != ctx.pf.f_polynomial():
-        return _fail("path-free recursion differs from enumeration")
-    if fpoly_pm_dc(g, use_cone_shortcut=True) != pm_dc:
-        return _fail("cone shortcut changes the path-missing polynomial")
-    if fpoly_pf_dc(g, use_cone_shortcut=True) != pf_dc:
-        return _fail("cone shortcut changes the path-free polynomial")
+    if fpoly_pf_dc(ctx.g) != ctx.pf.f_polynomial():
+        return _fail("path-free polynomial differs from enumeration")
     return _PASS
 
 

@@ -109,16 +109,22 @@ def test_fpoly_s_equals_t_bases():
 
 
 def test_fpoly_matches_enumeration_on_example():
-    g = example_graph()
-    assert fpoly_pm_dc(g) == build_pm(g).f_polynomial()
-    assert fpoly_pf_dc(g) == build_pf(g).f_polynomial()
-
-
-def test_cone_shortcut_changes_nothing():
+    # Deleting edge 3 leaves a useless edge; the last two have cycles.
     for g in (example_graph(), example_graph().delete_edge(3),
               double_cycle_graph(), loop_graph()):
-        assert fpoly_pm_dc(g, use_cone_shortcut=True) == fpoly_pm_dc(g)
-        assert fpoly_pf_dc(g, use_cone_shortcut=True) == fpoly_pf_dc(g)
+        assert fpoly_pm_dc(g) == build_pm(g).f_polynomial()
+        assert fpoly_pf_dc(g) == build_pf(g).f_polynomial()
+
+
+def test_fpoly_closed_forms_beyond_enumeration():
+    n = 1500
+    g = path_graph(n)
+    assert fpoly_pm_dc(g) == IntPolynomial([1])
+    assert fpoly_pf_dc(g) == IntPolynomial.one_plus_x_power(n) - IntPolynomial([1]).shift(n)
+    k = 60
+    g = parallel_graph(k)
+    assert fpoly_pm_dc(g) == IntPolynomial.one_plus_x_power(k) - IntPolynomial([1]).shift(k)
+    assert fpoly_pf_dc(g) == IntPolynomial([1])
 
 
 # -- closed-form Euler characteristics ---------------------------------------------------

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from pathcomplexes.polynomial import IntPolynomial, poly_divisibility
@@ -30,6 +32,8 @@ def test_arithmetic():
 def test_one_plus_x_power_is_binomial():
     assert IntPolynomial.one_plus_x_power(0).coeffs == (1,)
     assert IntPolynomial.one_plus_x_power(4).coeffs == (1, 4, 6, 4, 1)
+    assert IntPolynomial.one_plus_x_power(200).coeffs == tuple(
+        math.comb(200, k) for k in range(201))
 
 
 def test_evaluate():
