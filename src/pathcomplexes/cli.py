@@ -34,8 +34,7 @@ def _build(g: Digraph, which: str):
     return build_pm(g) if which == "pm" else build_pf(g)
 
 
-def _edge_names(g: Digraph, edge_ids) -> str:
-    labels = g.label_map()
+def _edge_names(labels: dict[int, str], edge_ids) -> str:
     return " ".join(labels[e] for e in sorted(edge_ids))
 
 
@@ -44,7 +43,8 @@ def _cmd_analyze(args) -> int:
     cycle = g.find_cycle()
     print(f"cycle: {'yes' if cycle is not None else 'no'}")
     useless = g.useless_edges()
-    print(f"useless-edges: {_edge_names(g, useless) if useless else '(none)'}")
+    labels = g.label_map()
+    print(f"useless-edges: {_edge_names(labels, useless) if useless else '(none)'}")
     nonsinks = g.nonsinks()
     ordered = [str(v) for v in g.vertices if v in nonsinks]
     print(f"nonsinks: {' '.join(ordered) if ordered else '(none)'}")
@@ -87,8 +87,9 @@ def _cmd_facets(args) -> int:
     if not facets:
         print("(no faces)")
         return 0
+    labels = g.label_map()
     for facet in facets:
-        print(_edge_names(g, facet) if facet else "(empty)")
+        print(_edge_names(labels, facet) if facet else "(empty)")
     return 0
 
 

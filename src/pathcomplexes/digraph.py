@@ -115,6 +115,23 @@ class Digraph:
             inc[v].append((eid, u))
         return {v: tuple(es) for v, es in inc.items()}
 
+    @cached_property
+    def edge_bits(self) -> dict[int, int]:
+        """Edge id -> its bit in an edge mask: bit i stands for ``edges[i]``."""
+        return {eid: 1 << i for i, (eid, _, _) in enumerate(self.edges)}
+
+    @cached_property
+    def full_mask(self) -> int:
+        """The edge mask holding every edge."""
+        return (1 << len(self.edges)) - 1
+
+    @cached_property
+    def _bit_adj(self) -> tuple[dict, dict]:
+        """``_out`` and ``_in`` with each edge id replaced by its bit."""
+        bit = self.edge_bits
+        return tuple({v: tuple((bit[e], w) for e, w in es) for v, es in adj.items()}
+                     for adj in (self._out, self._in))
+
     def label_map(self) -> dict[int, str]:
         """Edge id -> display label (falls back to the decimal id)."""
         if self.edge_labels is None:
@@ -180,40 +197,30 @@ class Digraph:
 
     def has_st_path(self) -> bool:
         """True iff t is reachable from s (a walk exists iff a path does)."""
-        if self.s == self.t:
-            return True
-        seen = {self.s}
-        stack = [self.s]
-        while stack:
-            v = stack.pop()
-            for _, w in self._out.get(v, ()):
-                if w == self.t:
-                    return True
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return False
+        return self.t in self._reachable_from_s()
 
     def has_st_path_within(self, edge_ids) -> bool:
         """Reachability of t from s using only the given edges.
 
         Same answer as ``subgraph(edge_ids).has_st_path()`` without
-        building the restricted graph; subset enumeration leans on this.
+        building the restricted graph; ids the graph lacks are ignored.
         """
-        if self.s == self.t:
+        bits = self.edge_bits
+        return self.reaches(sum({bits[e] for e in edge_ids if e in bits}))
+
+    def reaches(self, mask: int) -> bool:
+        """True iff t is reachable from s over the edges in the edge mask."""
+        s, t = self.s, self.t
+        if s == t:
             return True
-        out: dict = {}
-        for eid, u, v in self.edges:
-            if eid in edge_ids:
-                out.setdefault(u, []).append(v)
-        seen = {self.s}
-        stack = [self.s]
+        out = self._bit_adj[0]
+        seen = {s}
+        stack = [s]
         while stack:
-            v = stack.pop()
-            for w in out.get(v, ()):
-                if w == self.t:
-                    return True
-                if w not in seen:
+            for bit, w in out[stack.pop()]:
+                if bit & mask and w not in seen:
+                    if w == t:
+                        return True
                     seen.add(w)
                     stack.append(w)
         return False
@@ -429,36 +436,47 @@ class Digraph:
 
     # -- flows ------------------------------------------------------------------
 
-    def _max_flow(self) -> tuple[int, dict[int, int]]:
-        """Unit-capacity max flow from s to t via augmenting-path search."""
-        flow = {eid: 0 for eid in self.edge_ids}
-        value = 0
-        while True:
-            parent: dict = {self.s: None}
-            how: dict = {}
-            frontier = [self.s]
-            while frontier and self.t not in parent:
+    def _max_flow(self, mask: Optional[int] = None,
+                  limit: Optional[int] = None) -> tuple[int, set]:
+        """Unit-capacity max flow from s to t by augmenting-path search.
+
+        Only the edges in ``mask`` (all edges by default) carry flow, and
+        the search stops once the value reaches ``limit``.  Returns the
+        value and the vertices the last search reached: unless ``limit``
+        stopped it, the source side of a minimum cut.  When s = t the
+        trivial path replicates without using any edge: the value is
+        ``limit``, or ``math.inf`` without one.
+        """
+        s, t = self.s, self.t
+        if s == t:
+            return (math.inf if limit is None else limit), {s}
+        if mask is None:
+            mask = self.full_mask
+        out, inc = self._bit_adj
+        flow = value = 0  # flow: the mask of edges carrying one unit
+        while limit is None or value < limit:
+            how: dict = {s: None}
+            frontier = [s]
+            while frontier and t not in how:
                 nxt = []
                 for v in frontier:
-                    for eid, w in self._out.get(v, ()):
-                        if flow[eid] == 0 and w not in parent:
-                            parent[w] = v
-                            how[w] = (eid, +1)
+                    for bit, w in out[v]:
+                        if bit & mask and not bit & flow and w not in how:
+                            how[w] = (v, bit)
                             nxt.append(w)
-                    for eid, w in self._in.get(v, ()):
-                        if flow[eid] == 1 and w not in parent:
-                            parent[w] = v
-                            how[w] = (eid, -1)
+                    for bit, w in inc[v]:
+                        if bit & flow and w not in how:
+                            how[w] = (v, bit)
                             nxt.append(w)
                 frontier = nxt
-            if self.t not in parent:
-                return value, flow
-            v = self.t
-            while v != self.s:
-                eid, direction = how[v]
-                flow[eid] += direction
-                v = parent[v]
+            if t not in how:
+                break
+            v = t
+            while v != s:
+                v, bit = how[v]
+                flow ^= bit
             value += 1
+        return value, set(how)
 
     def max_edge_disjoint_st_paths(self):
         """Max number of pairwise edge-disjoint s-t-paths.
@@ -466,30 +484,15 @@ class Digraph:
         ``math.inf`` when s = t: the trivial path replicates without using
         any edge, so every bound is met.
         """
-        if self.s == self.t:
-            return math.inf
-        value, _ = self._max_flow()
-        return value
+        return self._max_flow()[0]
 
     def min_st_cutset_size(self) -> int:
         """Size of a smallest edge set meeting every s-t-path.
 
-        Extracted from the residual graph of a maximum flow: the edges
-        crossing out of the residual-reachable side form a minimum cut.
+        Read off a maximum flow: the edges leaving the vertices that the
+        last, failing augmenting-path search reached form a minimum cut.
         """
         if self.s == self.t:
             raise ValueError("no cut-set exists when s = t")
-        _, flow = self._max_flow()
-        side = {self.s}
-        stack = [self.s]
-        while stack:
-            v = stack.pop()
-            for eid, w in self._out.get(v, ()):
-                if flow[eid] == 0 and w not in side:
-                    side.add(w)
-                    stack.append(w)
-            for eid, w in self._in.get(v, ()):
-                if flow[eid] == 1 and w not in side:
-                    side.add(w)
-                    stack.append(w)
+        _, side = self._max_flow()
         return sum(1 for _, u, v in self.edges if u in side and v not in side)

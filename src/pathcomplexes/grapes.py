@@ -80,8 +80,9 @@ def find_cone_witness(link: SimplicialComplex,
 
 def _sandwich_witness(link: SimplicialComplex,
                       deletion: SimplicialComplex) -> Optional[SandwichWitness]:
-    for b in deletion.ground:
-        if all(f | {b} in deletion.faces for f in link.faces):
+    # The link and the deletion share one ground set, hence one bit layout.
+    for i, b in enumerate(deletion.ground):
+        if all(f | 1 << i in deletion.faces for f in link.faces):
             return SandwichWitness(b, vacuous=not link.faces)
     return None
 
@@ -148,7 +149,8 @@ def replay_certificate(cert: GrapeNode, c: SimplicialComplex) -> bool:
     elif isinstance(side, SandwichWitness):
         if side.element not in deletion.ground:
             return False
-        if not all(f | {side.element} in deletion.faces for f in link.faces):
+        bit = deletion.bit(side.element)
+        if not all(f | bit in deletion.faces for f in link.faces):
             return False
         if side.vacuous != (not link.faces):
             return False

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
 from math import comb
 from typing import Callable, Optional
 
@@ -83,78 +82,80 @@ class DivisibilityReport:
 # -- membership oracles ------------------------------------------------------
 
 
-def _check_subset(g: Digraph, f: frozenset) -> frozenset[int]:
+def _edge_mask(g: Digraph, f) -> int:
     f = frozenset(f)
-    unknown = f - set(g.edge_ids)
+    unknown = f - g.edge_bits.keys()
     if unknown:
         raise ValueError(f"not edge ids of the graph: {sorted(unknown)}")
-    return f
+    return sum(g.edge_bits[e] for e in f)
+
+
+def _check_r(r: int):
+    if r < 1:
+        raise ValueError("r must be positive")
 
 
 def pm_member(g: Digraph, f) -> bool:
     """True iff removing f still leaves an s-t-path."""
-    f = _check_subset(g, f)
-    return g.has_st_path_within(frozenset(g.edge_ids) - f)
+    return g.reaches(g.full_mask ^ _edge_mask(g, f))
 
 
 def pf_member(g: Digraph, f) -> bool:
     """True iff f contains no s-t-path."""
-    f = _check_subset(g, f)
-    return not g.has_st_path_within(f)
+    return not g.reaches(_edge_mask(g, f))
 
 
 def pm_r_member(g: Digraph, f, r: int) -> bool:
     """True iff the complement of f contains r edge-disjoint s-t-paths."""
-    if r < 1:
-        raise ValueError("r must be positive")
-    f = _check_subset(g, f)
-    rest = g.subgraph(frozenset(g.edge_ids) - f)
-    return rest.max_edge_disjoint_st_paths() >= r
+    _check_r(r)
+    return g._max_flow(g.full_mask ^ _edge_mask(g, f), r)[0] >= r
 
 
 def pf_r_member(g: Digraph, f, r: int) -> bool:
     """True iff f contains no r edge-disjoint s-t-paths."""
-    if r < 1:
-        raise ValueError("r must be positive")
-    f = _check_subset(g, f)
-    return g.subgraph(f).max_edge_disjoint_st_paths() < r
+    _check_r(r)
+    return g._max_flow(_edge_mask(g, f), r)[0] < r
 
 
 # -- explicit construction ------------------------------------------------------
 
 
-def _build(g: Digraph, oracle: Callable[[frozenset], bool], limit: int) -> SimplicialComplex:
+def _build(g: Digraph, oracle: Callable[[int], bool], limit: int) -> SimplicialComplex:
+    """The complex on ``g.edge_ids`` whose faces are the edge masks (bit i
+    for ``g.edges[i]``) that ``oracle`` accepts, one call per subset;
+    downward closure is validated on every build."""
     m = len(g.edges)
     if m > limit:
         raise ResourceLimitError(f"{m} edges exceed the enumeration limit of {limit}")
-    ids = g.edge_ids
-    faces = []
-    for k in range(m + 1):
-        for combo in combinations(ids, k):
-            f = frozenset(combo)
-            if oracle(f):
-                faces.append(f)
-    c = SimplicialComplex(tuple(ids), frozenset(faces))
+    c = SimplicialComplex(g.edge_ids, frozenset(filter(oracle, range(1 << m))))
     c.validate()
     return c
 
 
 def build_pm(g: Digraph, limit: int = BUILD_EDGE_LIMIT) -> SimplicialComplex:
     """Enumerate the path-missing complex; downward closure is asserted."""
-    return _build(g, lambda f: pm_member(g, f), limit)
+    full, reaches = g.full_mask, g.reaches
+    return _build(g, lambda m: reaches(full ^ m), limit)
 
 
 def build_pf(g: Digraph, limit: int = BUILD_EDGE_LIMIT) -> SimplicialComplex:
     """Enumerate the path-free complex; downward closure is asserted."""
-    return _build(g, lambda f: pf_member(g, f), limit)
+    reaches = g.reaches
+    return _build(g, lambda m: not reaches(m), limit)
 
 
 def build_pm_r(g: Digraph, r: int, limit: int = BUILD_EDGE_LIMIT) -> SimplicialComplex:
-    return _build(g, lambda f: pm_r_member(g, f, r), limit)
+    """Edge sets whose complement holds r edge-disjoint s-t-paths."""
+    _check_r(r)
+    full, flow = g.full_mask, g._max_flow
+    return _build(g, lambda m: flow(full ^ m, r)[0] >= r, limit)
 
 
 def build_pf_r(g: Digraph, r: int, limit: int = BUILD_EDGE_LIMIT) -> SimplicialComplex:
-    return _build(g, lambda f: pf_r_member(g, f, r), limit)
+    """Edge sets holding no r edge-disjoint s-t-paths."""
+    _check_r(r)
+    flow = g._max_flow
+    return _build(g, lambda m: flow(m, r)[0] < r, limit)
 
 
 # -- deletion-contraction f-polynomials --------------------------------------------

@@ -1,15 +1,16 @@
 """Explicit simplicial complexes over small ground sets.
 
-Faces are stored outright as frozensets of ground elements, which keeps
-every operation a direct transcription of its set-theoretic definition.
-The empty complex (no faces at all) and the irrelevant complex {∅} are
-distinct values.
+A face is an ``int`` bitmask over the ordered ground set: bit i stands
+for ``ground[i]``.  Links, deletions and the Alexander dual are bit
+operations, and frozensets of ground elements appear only at the API
+edge (``from_faces`` encodes them; ``facets`` and ``minimal_nonfaces``
+decode).  The empty complex (no faces at all) and the irrelevant complex
+{∅} are distinct values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable
 
 from .errors import ResourceLimitError
@@ -47,44 +48,68 @@ def _check_enumeration(n_ground: int, limit: int):
             f"2^{n_ground} subsets exceed the enumeration limit of {limit}")
 
 
+def _squeeze(m: int, i: int) -> int:
+    """Drop bit i of m and shift the higher bits down by one."""
+    low = (1 << i) - 1
+    return (m & low) | ((m >> 1) & ~low)
+
+
 @dataclass(frozen=True)
 class SimplicialComplex:
     """A downward-closed family of subsets of an ordered ground set.
 
-    The ground set may contain elements that appear in no face.  Instances
-    produced by the operations below preserve downward closure; use
-    ``from_faces`` to validate externally supplied families.
+    ``faces`` holds one bitmask per face, bit i standing for
+    ``ground[i]``.  The ground set may contain elements that appear in no
+    face.  Instances produced by the operations below preserve downward
+    closure; use ``from_faces`` to validate externally supplied families.
     """
 
     ground: tuple[int, ...]
-    faces: frozenset[Face]
+    faces: frozenset[int]
 
     @classmethod
     def from_faces(cls, ground: Iterable[int], faces: Iterable[Iterable[int]],
                    validate: bool = True) -> "SimplicialComplex":
         g = tuple(ground)
-        fs = frozenset(frozenset(f) for f in faces)
-        c = cls(g, fs)
+        index = {x: 1 << i for i, x in enumerate(g)}
+        masks = set()
+        for f in faces:
+            f = frozenset(f)
+            if not f <= index.keys():
+                raise ValueError(f"face {sorted(f)} leaves the ground set")
+            masks.add(sum(index[x] for x in f))
+        c = cls(g, frozenset(masks))
         if validate:
             c.validate()
         return c
 
     def validate(self):
-        gset = set(self.ground)
-        if len(gset) != len(self.ground):
+        if len(set(self.ground)) != len(self.ground):
             raise ValueError("ground set has repeated elements")
-        for f in self.faces:
-            if not f <= gset:
-                raise ValueError(f"face {sorted(f)} leaves the ground set")
+        if any(f >> len(self.ground) for f in self.faces):
+            raise ValueError("a face leaves the ground set")
         if not self.is_downward_closed():
             raise ValueError("face family is not downward closed")
 
     def is_downward_closed(self) -> bool:
-        for f in self.faces:
-            for x in f:
-                if f - {x} not in self.faces:
-                    return False
-        return True
+        return all(self._drops(b) <= self.faces for b in self._singles())
+
+    def bit(self, w: int) -> int:
+        """The one-bit mask standing for ground element w."""
+        try:
+            return 1 << self.ground.index(w)
+        except ValueError:
+            raise ValueError(f"{w} is not a ground element") from None
+
+    def _singles(self) -> list[int]:
+        return [1 << i for i in range(len(self.ground))]
+
+    def _drops(self, b: int) -> set[int]:
+        """The faces containing bit b, with b removed."""
+        return {f ^ b for f in self.faces if f & b}
+
+    def _decode(self, m: int) -> Face:
+        return frozenset(x for i, x in enumerate(self.ground) if m >> i & 1)
 
     # -- simple views ---------------------------------------------------------
 
@@ -94,41 +119,37 @@ class SimplicialComplex:
 
     def facets(self) -> list[Face]:
         """Inclusion-maximal faces, in (size, lexicographic) order."""
-        # Checking one-element extensions suffices: downward closure puts
-        # such an extension between a face and anything containing it.
-        out = [f for f in self.faces
-               if not any(f | {x} in self.faces for x in self.ground if x not in f)]
-        return sorted(out, key=lambda f: (len(f), sorted(f)))
+        # A face below another is one element short of some face, by
+        # downward closure; the facets are the faces that are not.
+        out = self.faces.difference(*map(self._drops, self._singles()))
+        return sorted(map(self._decode, out), key=lambda f: (len(f), sorted(f)))
 
     # -- element operations ----------------------------------------------------
 
-    def _require_element(self, w: int):
-        if w not in self.ground:
-            raise ValueError(f"{w} is not a ground element")
-
     def deletion(self, w: int) -> "SimplicialComplex":
         """Faces avoiding w, on the ground set without w."""
-        self._require_element(w)
-        ground = tuple(x for x in self.ground if x != w)
-        return SimplicialComplex(ground, frozenset(f for f in self.faces if w not in f))
+        b = self.bit(w)
+        i = b.bit_length() - 1
+        return SimplicialComplex(self.ground[:i] + self.ground[i + 1:],
+                                 frozenset(_squeeze(f, i) for f in self.faces if not f & b))
 
     def link(self, w: int) -> "SimplicialComplex":
         """F with F ∪ {w} a face, on the ground set without w."""
-        self._require_element(w)
-        ground = tuple(x for x in self.ground if x != w)
-        return SimplicialComplex(ground,
-                                 frozenset(f - {w} for f in self.faces if w in f))
+        b = self.bit(w)
+        i = b.bit_length() - 1
+        return SimplicialComplex(self.ground[:i] + self.ground[i + 1:],
+                                 frozenset(_squeeze(f, i) for f in self.faces if f & b))
 
     def star(self, w: int) -> "SimplicialComplex":
         """Faces whose union with w is still a face; a cone with apex w."""
-        self._require_element(w)
+        b = self.bit(w)
         return SimplicialComplex(self.ground,
-                                 frozenset(f for f in self.faces if f | {w} in self.faces))
+                                 frozenset(f for f in self.faces if f | b in self.faces))
 
     def is_cone_with_apex(self, w: int) -> bool:
         """True iff adding w to any face yields a face (vacuous when faceless)."""
-        self._require_element(w)
-        return all(f | {w} in self.faces for f in self.faces)
+        b = self.bit(w)
+        return all(f | b in self.faces for f in self.faces)
 
     def is_cone(self) -> bool:
         return any(self.is_cone_with_apex(w) for w in self.ground)
@@ -138,38 +159,27 @@ class SimplicialComplex:
     def alexander_dual(self, limit: int = FACE_ENUMERATION_LIMIT) -> "SimplicialComplex":
         """Complements of non-faces: {F : ground \\ F not a face}."""
         _check_enumeration(len(self.ground), limit)
-        gset = frozenset(self.ground)
-        dual = set()
-        for k in range(len(self.ground) + 1):
-            for combo in combinations(self.ground, k):
-                f = frozenset(combo)
-                if gset - f not in self.faces:
-                    dual.add(f)
-        return SimplicialComplex(self.ground, frozenset(dual))
+        full = (1 << len(self.ground)) - 1
+        return SimplicialComplex(self.ground, frozenset(
+            full ^ m for m in range(full + 1) if m not in self.faces))
 
     def f_polynomial(self) -> IntPolynomial:
         """Coefficient of x^k counts the faces of size k."""
-        if not self.faces:
-            return IntPolynomial()
-        counts = [0] * (max(len(f) for f in self.faces) + 1)
+        counts = [0] * (len(self.ground) + 1)
         for f in self.faces:
-            counts[len(f)] += 1
+            counts[f.bit_count()] += 1
         return IntPolynomial(counts)
 
     def reduced_euler_characteristic(self) -> int:
         """Alternating face-count sum including the empty face."""
-        return sum(1 if len(f) % 2 else -1 for f in self.faces)
+        return sum(1 if f.bit_count() % 2 else -1 for f in self.faces)
 
     def suspension(self) -> "SimplicialComplex":
         """Join with two fresh points: faces A ∪ U, U a proper subset of them."""
         fresh = max(self.ground, default=-1) + 1
-        y, z = fresh, fresh + 1
-        faces = set()
-        for a in self.faces:
-            faces.add(a)
-            faces.add(a | {y})
-            faces.add(a | {z})
-        return SimplicialComplex(self.ground + (y, z), frozenset(faces))
+        y, z = 1 << len(self.ground), 2 << len(self.ground)
+        faces = {a | u for a in self.faces for u in (0, y, z)}
+        return SimplicialComplex(self.ground + (fresh, fresh + 1), frozenset(faces))
 
     def minimal_nonfaces(self, limit: int = FACE_ENUMERATION_LIMIT) -> list[Face]:
         """Inclusion-minimal subsets of the ground set that are not faces.
@@ -178,21 +188,16 @@ class SimplicialComplex:
         and downward closure makes the converse hold too.
         """
         _check_enumeration(len(self.ground), limit)
-        out = []
-        for k in range(len(self.ground) + 1):
-            for combo in combinations(self.ground, k):
-                f = frozenset(combo)
-                if f in self.faces:
-                    continue
-                if all(f - {x} in self.faces for x in f):
-                    out.append(f)
-        return out
+        faces, singles = self.faces, self._singles()
+        out = [self._decode(m) for m in range(1 << len(self.ground))
+               if m not in faces and all(m ^ b in faces for b in singles if m & b)]
+        return sorted(out, key=lambda f: (len(f), sorted(f)))
 
     def codimension(self) -> int:
         """Ground size minus the largest face size."""
         if not self.faces:
             raise ValueError("codimension needs at least one face")
-        return len(self.ground) - max(len(f) for f in self.faces)
+        return len(self.ground) - max(f.bit_count() for f in self.faces)
 
     # -- homology ------------------------------------------------------------------
 
@@ -206,36 +211,24 @@ class SimplicialComplex:
         if len(self.faces) > limit:
             raise ResourceLimitError(
                 f"{len(self.faces)} faces exceed the homology limit of {limit}")
-        by_size: dict[int, list[Face]] = {}
+        singles = self._singles()
+        by_size: dict[int, list[int]] = {}
         for f in self.faces:
-            by_size.setdefault(len(f), []).append(f)
-        for fs in by_size.values():
-            fs.sort(key=sorted)
-        index = {size: {f: i for i, f in enumerate(fs)} for size, fs in by_size.items()}
+            by_size.setdefault(f.bit_count(), []).append(f)
 
         def boundary_rank(size: int) -> int:
             # Rank of the map sending a size-k face to the sum of its
             # (k-1)-subsets, as bitmask columns over GF(2).
-            if size not in by_size or (size - 1) not in index:
+            if size not in by_size or (size - 1) not in by_size:
                 return 0
-            rows = index[size - 1]
-            columns = []
-            for f in by_size[size]:
-                mask = 0
-                for x in f:
-                    mask |= 1 << rows[f - {x}]
-                columns.append(mask)
-            return _gf2_rank(columns)
+            rows = {f: 1 << i for i, f in enumerate(by_size[size - 1])}
+            return _gf2_rank([sum(rows[f ^ b] for b in singles if f & b)
+                              for f in by_size[size]])
 
-        max_size = max(by_size, default=0)
-        betti = {}
-        for size in range(0, max_size + 1):  # size = dimension + 1
-            n = len(by_size.get(size, ()))
-            kernel = n - boundary_rank(size)
-            image_from_above = boundary_rank(size + 1)
-            b = kernel - image_from_above
-            if b:
-                betti[size - 1] = b
+        max_size = max(by_size, default=0)  # size = dimension + 1
+        rank = [boundary_rank(size) for size in range(max_size + 2)]
+        betti = {size - 1: len(by_size.get(size, ())) - rank[size] - rank[size + 1]
+                 for size in range(max_size + 1)}
         return BettiVector.from_dict(betti)
 
 
@@ -263,13 +256,12 @@ def empty_complex(ground: Iterable[int] = ()) -> SimplicialComplex:
 
 def irrelevant_complex(ground: Iterable[int] = ()) -> SimplicialComplex:
     """The complex whose only face is the empty set."""
-    return SimplicialComplex(tuple(ground), frozenset([frozenset()]))
+    return SimplicialComplex(tuple(ground), frozenset([0]))
 
 
 def full_simplex(ground: Iterable[int]) -> SimplicialComplex:
     g = tuple(ground)
-    faces = [frozenset(c) for k in range(len(g) + 1) for c in combinations(g, k)]
-    return SimplicialComplex(g, frozenset(faces))
+    return SimplicialComplex(g, frozenset(range(1 << len(g))))
 
 
 def proper_subsets_complex(ground: Iterable[int]) -> SimplicialComplex:
@@ -277,5 +269,4 @@ def proper_subsets_complex(ground: Iterable[int]) -> SimplicialComplex:
     g = tuple(ground)
     if not g:
         raise ValueError("ground set must be nonempty")
-    faces = [frozenset(c) for k in range(len(g)) for c in combinations(g, k)]
-    return SimplicialComplex(g, frozenset(faces))
+    return SimplicialComplex(g, frozenset(range((1 << len(g)) - 1)))

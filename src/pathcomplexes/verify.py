@@ -356,15 +356,19 @@ def _chk_dl_st(ctx: _Ctx):
     if not ctx.can_enumerate():
         return _ENUM_SKIP
     for name, c in ctx.both():
-        for w in c.ground:
+        for i, w in enumerate(c.ground):
             dl, st, lk = c.deletion(w), c.star(w), c.link(w)
-            if dl.faces | st.faces != c.faces:
+            # Deletion and link live on the ground without w: put bit i back.
+            low = (1 << i) - 1
+            dl_faces, lk_faces = ({(f & low) | ((f & ~low) << 1) for f in x.faces}
+                                  for x in (dl, lk))
+            if dl_faces | st.faces != c.faces:
                 return _fail(f"{name}: deletion+star misses faces at {w}")
-            if dl.faces & st.faces != lk.faces:
+            if dl_faces & st.faces != lk_faces:
                 return _fail(f"{name}: deletion∩star is not the link at {w}")
             if not st.is_cone_with_apex(w):
                 return _fail(f"{name}: star at {w} is not a cone")
-            if sum(1 for f in c.faces if w in f) != len(lk.faces):
+            if sum(1 for f in c.faces if f >> i & 1) != len(lk.faces):
                 return _fail(f"{name}: link size mismatch at {w}")
     return _PASS
 

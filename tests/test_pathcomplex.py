@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 
 import pytest
 
@@ -13,11 +14,11 @@ from pathcomplexes.pathcomplex import (CASE_EMPTY_EDGE, CASE_GENERIC_ACYCLIC,
                                        pf_r_member, pm_member, pm_r_member,
                                        sphere)
 from pathcomplexes.polynomial import IntPolynomial
-from pathcomplexes.simplicial import (empty_complex, irrelevant_complex,
-                                      proper_subsets_complex)
-from pathcomplexes.verify import (double_cycle_graph, edgeless_graph,
-                                  example_graph, loop_graph, parallel_graph,
-                                  path_graph)
+from pathcomplexes.simplicial import (SimplicialComplex, empty_complex,
+                                      irrelevant_complex, proper_subsets_complex)
+from pathcomplexes.verify import (CorpusSpec, double_cycle_graph, edgeless_graph,
+                                  example_graph, generate_corpus, loop_graph,
+                                  parallel_graph, path_graph)
 
 EXAMPLE_PF_FACETS = ["abdfg", "abef", "acdfg", "acefg", "bcdg", "bcefg"]
 EXAMPLE_PM_FACETS = ["abcfg", "aeg", "cdf", "defg"]
@@ -258,3 +259,39 @@ def test_rgen_complexes_are_downward_closed():
     for r in (2, 3):
         build_pm_r(g, r).validate()
         build_pf_r(g, r).validate()
+
+
+def test_rgen_builds_match_networkx_flow():
+    nx = pytest.importorskip("networkx")
+
+    def flow(g, kept):
+        # Parallel edges merge into one arc with their count as capacity;
+        # self-loops carry no s-t flow.  s = t admits unboundedly many paths.
+        if g.s == g.t:
+            return math.inf
+        h = nx.DiGraph()
+        h.add_nodes_from(g.vertices)
+        for eid, u, v in g.edges:
+            if eid in kept and u != v:
+                cap = h[u][v]["capacity"] + 1 if h.has_edge(u, v) else 1
+                h.add_edge(u, v, capacity=cap)
+        return nx.maximum_flow_value(h, g.s, g.t)
+
+    graphs = [g for g in generate_corpus(CorpusSpec(graph_count=60)) if len(g.edges) <= 8]
+    # Breadth-first search first takes s-a-b-t; the second path must cancel
+    # the flow on a-b, and a third search may not use a-b backwards.
+    graphs.append(Digraph.build("saegbcft", [
+        ("s", "a"), ("a", "b"), ("b", "t"), ("a", "c"), ("c", "t"), ("s", "e"),
+        ("e", "b"), ("a", "f"), ("f", "t"), ("s", "g"), ("g", "b")], "s", "t"))
+    for g in graphs:
+        ids = frozenset(g.edge_ids)
+        subsets = [frozenset(c) for k in range(len(ids) + 1)
+                   for c in combinations(g.edge_ids, k)]
+        value = {f: flow(g, f) for f in subsets}
+        for r in (1, 2, 3):
+            want_pm = SimplicialComplex.from_faces(
+                g.edge_ids, [f for f in subsets if value[ids - f] >= r])
+            want_pf = SimplicialComplex.from_faces(
+                g.edge_ids, [f for f in subsets if value[f] < r])
+            assert build_pm_r(g, r) == want_pm, (g, r)
+            assert build_pf_r(g, r) == want_pf, (g, r)

@@ -18,7 +18,13 @@ def test_from_faces_validates():
         complex_of({1, 2}, ground=(1, 2))  # missing subsets
     with pytest.raises(ValueError):
         complex_of((), {3}, ground=(1, 2))  # face outside ground
+    with pytest.raises(ValueError):
+        complex_of((), {2}, {7}, ground=(5, 2, 9))  # outside an unsorted ground
+    with pytest.raises(ValueError):
+        SimplicialComplex.from_faces((5, 2, 9), [frozenset({4})], validate=False)
     c = SimplicialComplex.from_faces((1, 2), [frozenset({1, 2})], validate=False)
+    assert not c.is_downward_closed()
+    c = SimplicialComplex.from_faces((5, 2, 9), [frozenset({5, 9})], validate=False)
     assert not c.is_downward_closed()
 
 
@@ -35,6 +41,15 @@ def test_deletion():
     assert empty_complex((1, 2)).deletion(1) == empty_complex((2,))
     with pytest.raises(ValueError):
         c.deletion(3)
+    # Ground neither sorted nor contiguous; removing the middle element
+    # must shift the higher elements down, not lose them.
+    c = complex_of((), {5}, {2}, {9}, {5, 2}, {2, 9}, {5, 9}, ground=(5, 2, 9))
+    assert c.deletion(2) == complex_of((), {5}, {9}, {5, 9}, ground=(5, 9))
+    assert c.deletion(2).facets() == [frozenset({5, 9})]
+    assert c.deletion(9) == full_simplex((5, 2))
+    assert c.deletion(5).ground == (2, 9)
+    with pytest.raises(ValueError):
+        c.deletion(7)
 
 
 def test_link():
@@ -42,6 +57,12 @@ def test_link():
     assert complex_of((), {1}, ground=(1, 2)).link(2) == empty_complex((1,))
     with pytest.raises(ValueError):
         empty_complex((1,)).link(9)
+    c = complex_of((), {5}, {2}, {9}, {5, 2}, {2, 9}, ground=(5, 2, 9))
+    assert c.link(2) == complex_of((), {5}, {9}, ground=(5, 9))
+    assert c.link(5) == complex_of((), {2}, ground=(2, 9))
+    assert c.link(9).facets() == [frozenset({2})]
+    with pytest.raises(ValueError):
+        c.link(3)
 
 
 def test_link_matches_edge_deleted_graph():
