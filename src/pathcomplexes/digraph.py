@@ -3,6 +3,9 @@
 Everything downstream consumes the queries defined here: simple s-t-path
 enumeration, useless-edge detection, cycle finding, quasi-cycles and their
 exact disjoint packing, and unit-capacity flow for edge-disjoint paths.
+Every search walks an explicit stack, so no query's depth is bounded by
+the interpreter's recursion limit; cycle enumeration only enters strongly
+connected components, where a cycle can close.
 
 Graphs are immutable; deletion and contraction return new graphs and never
 renumber the surviving edge ids, so edge subsets remain comparable between
@@ -199,14 +202,23 @@ class Digraph:
         """True iff t is reachable from s (a walk exists iff a path does)."""
         return self.t in self._reachable_from_s()
 
+    def edge_mask(self, edge_ids) -> int:
+        """The edge mask of a set of edge ids; ids the graph lacks raise
+        ``ValueError``."""
+        bits = self.edge_bits
+        try:
+            return sum({bits[e] for e in edge_ids})
+        except KeyError as err:
+            raise ValueError(f"not an edge id of the graph: {err.args[0]!r}") from None
+
     def has_st_path_within(self, edge_ids) -> bool:
         """Reachability of t from s using only the given edges.
 
         Same answer as ``subgraph(edge_ids).has_st_path()`` without
-        building the restricted graph; ids the graph lacks are ignored.
+        building the restricted graph; ids the graph lacks raise
+        ``ValueError``, as they do there.
         """
-        bits = self.edge_bits
-        return self.reaches(sum({bits[e] for e in edge_ids if e in bits}))
+        return self.reaches(self.edge_mask(edge_ids))
 
     def reaches(self, mask: int) -> bool:
         """True iff t is reachable from s over the edges in the edge mask."""
@@ -232,27 +244,32 @@ class Digraph:
         """
         if self.s == self.t:
             return [Walk((self.s,), ())]
-        paths: list[Walk] = []
-        out = self._out
-        vseq = [self.s]
-        eseq: list[int] = []
-        visited = {self.s}
+        return list(self._simple_walks(self.s, self.t, set(self.vertices) - {self.s}))
 
-        def extend(v):
-            for eid, w in out.get(v, ()):
-                if w == self.t:
-                    paths.append(Walk(tuple(vseq) + (w,), tuple(eseq) + (eid,)))
-                elif w not in visited:
-                    visited.add(w)
+    def _simple_walks(self, root, target, inner: set):
+        """Yield each walk from ``root`` to ``target`` with its other vertices
+        distinct and in ``inner``, lexicographic by edge-id sequence.
+
+        Depth-first over an explicit stack of neighbour iterators; a vertex
+        leaves ``inner`` while it is on the walk."""
+        out = self._out
+        vseq, eseq = [root], []
+        frames = [iter(out[root])]
+        while frames:
+            for eid, w in frames[-1]:
+                if w == target:
+                    yield Walk((*vseq, w), (*eseq, eid))
+                elif w in inner:
+                    inner.discard(w)
                     vseq.append(w)
                     eseq.append(eid)
-                    extend(w)
+                    frames.append(iter(out[w]))
+                    break
+            else:
+                frames.pop()
+                if eseq:
                     eseq.pop()
-                    vseq.pop()
-                    visited.discard(w)
-
-        extend(self.s)
-        return paths
+                    inner.add(vseq.pop())
 
     def shortest_st_path_length(self) -> Optional[int]:
         """Edge count of a shortest s-t-path; None when t is unreachable."""
@@ -300,35 +317,33 @@ class Digraph:
         """First cycle found by depth-first search in edge-id order, or None.
 
         Self-loops count as cycles.  Vertices are tried in declaration
-        order, so the answer is deterministic.
+        order, so the answer is deterministic: the first edge that leads
+        back onto the search stack closes the witness.  The search keeps
+        an explicit stack of neighbour iterators.
         """
-        color: dict = {}
-        stack_v: list = []
-        stack_e: list[int] = []
-
-        def dfs(v) -> Optional[Walk]:
-            color[v] = 1
-            stack_v.append(v)
-            for eid, w in self._out.get(v, ()):
-                c = color.get(w, 0)
-                if c == 1:
-                    i = stack_v.index(w)
-                    return Walk(tuple(stack_v[i:]) + (w,), tuple(stack_e[i:]) + (eid,))
-                if c == 0:
-                    stack_e.append(eid)
-                    found = dfs(w)
-                    stack_e.pop()
-                    if found is not None:
-                        return found
-            stack_v.pop()
-            color[v] = 2
-            return None
-
-        for v in self.vertices:
-            if color.get(v, 0) == 0:
-                found = dfs(v)
-                if found is not None:
-                    return found
+        out = self._out
+        state: dict = {}  # vertex -> its index on the search stack, -1 once done
+        for root in self.vertices:
+            if root in state:
+                continue
+            state[root] = 0
+            vseq, eseq = [root], []
+            frames = [iter(out[root])]
+            while frames:
+                for eid, w in frames[-1]:
+                    i = state.get(w)
+                    if i is None:
+                        state[w] = len(vseq)
+                        vseq.append(w)
+                        eseq.append(eid)
+                        frames.append(iter(out[w]))
+                        break
+                    if i >= 0:
+                        return Walk((*vseq[i:], w), (*eseq[i:], eid))
+                else:
+                    frames.pop()
+                    state[vseq.pop()] = -1
+                    del eseq[-1:]
         return None
 
     def nonsinks(self) -> frozenset:
@@ -354,40 +369,71 @@ class Digraph:
             used.update(path.edges)
         return frozenset(self.edge_ids) - used
 
+    def _strong_components(self) -> dict:
+        """Vertex -> a label shared by exactly the vertices of its strongly
+        connected component (Tarjan, with an explicit stack of neighbour
+        iterators).  An open vertex holds the lowest visit order it reaches;
+        closing a component relabels it ``n`` + its root's visit order."""
+        out = self._out
+        n = len(self.vertices)
+        low: dict = {}
+        pending: list = []  # visited vertices whose component is still open
+        for root in self.vertices:
+            if root in low:
+                continue
+            low[root] = len(low)
+            frames = [(root, low[root], iter(out[root]))]
+            pending.append(root)
+            while frames:
+                v, i, it = frames[-1]
+                for _, w in it:
+                    if w not in low:
+                        low[w] = len(low)
+                        frames.append((w, low[w], iter(out[w])))
+                        pending.append(w)
+                        break
+                    if low[w] < low[v]:
+                        low[v] = low[w]
+                else:
+                    frames.pop()
+                    if low[v] == i:
+                        while True:
+                            w = pending.pop()
+                            low[w] = n + i
+                            if w == v:
+                                break
+                    elif low[v] < low[frames[-1][0]]:
+                        low[frames[-1][0]] = low[v]
+        return low
+
     def _simple_cycle_edge_sets(self) -> list[frozenset[int]]:
         """Edge sets of all simple cycles, each listed once.
 
         A cycle is rooted at its earliest vertex (declaration order) and the
-        search never dips below that root, so rotations collapse to one
-        representative.
+        search never dips below that root, so each cycle is emitted once,
+        from its root.  The search is confined to ``back``: the vertices
+        of the root's strongly connected component, after the root, that
+        reach the root through such vertices, found by one backward scan.
+        It enters no vertex from which the root is out of reach, and a
+        root with an empty ``back`` closes only its self-loops.
         """
         vindex = {v: i for i, v in enumerate(self.vertices)}
-        out = self._out
+        out, inc = self._out, self._in
+        comp = self._strong_components()
         found: list[frozenset[int]] = []
-        seen: set[frozenset[int]] = set()
-
         for start in self.vertices:
-            base = vindex[start]
-            onpath = {start}
-            eseq: list[int] = []
-
-            def dfs(v):
-                for eid, w in out.get(v, ()):
-                    if vindex[w] < base:
-                        continue
-                    if w == start:
-                        es = frozenset(eseq + [eid])
-                        if es not in seen:
-                            seen.add(es)
-                            found.append(es)
-                    elif w not in onpath:
-                        onpath.add(w)
-                        eseq.append(eid)
-                        dfs(w)
-                        eseq.pop()
-                        onpath.discard(w)
-
-            dfs(start)
+            base, label = vindex[start], comp[start]
+            back: set = set()
+            scan = [start]
+            while scan:
+                for _, u in inc[scan.pop()]:
+                    if comp[u] == label and vindex[u] > base and u not in back:
+                        back.add(u)
+                        scan.append(u)
+            if back:
+                found.extend(w.edge_set() for w in self._simple_walks(start, start, back))
+            else:
+                found.extend(frozenset((eid,)) for eid, w in out[start] if w == start)
         return found
 
     def quasi_cycles(self) -> list[QuasiCycle]:

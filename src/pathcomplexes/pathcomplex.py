@@ -82,14 +82,6 @@ class DivisibilityReport:
 # -- membership oracles ------------------------------------------------------
 
 
-def _edge_mask(g: Digraph, f) -> int:
-    f = frozenset(f)
-    unknown = f - g.edge_bits.keys()
-    if unknown:
-        raise ValueError(f"not edge ids of the graph: {sorted(unknown)}")
-    return sum(g.edge_bits[e] for e in f)
-
-
 def _check_r(r: int):
     if r < 1:
         raise ValueError("r must be positive")
@@ -97,24 +89,24 @@ def _check_r(r: int):
 
 def pm_member(g: Digraph, f) -> bool:
     """True iff removing f still leaves an s-t-path."""
-    return g.reaches(g.full_mask ^ _edge_mask(g, f))
+    return g.reaches(g.full_mask ^ g.edge_mask(f))
 
 
 def pf_member(g: Digraph, f) -> bool:
     """True iff f contains no s-t-path."""
-    return not g.reaches(_edge_mask(g, f))
+    return not g.reaches(g.edge_mask(f))
 
 
 def pm_r_member(g: Digraph, f, r: int) -> bool:
     """True iff the complement of f contains r edge-disjoint s-t-paths."""
     _check_r(r)
-    return g._max_flow(g.full_mask ^ _edge_mask(g, f), r)[0] >= r
+    return g._max_flow(g.full_mask ^ g.edge_mask(f), r)[0] >= r
 
 
 def pf_r_member(g: Digraph, f, r: int) -> bool:
     """True iff f contains no r edge-disjoint s-t-paths."""
     _check_r(r)
-    return g._max_flow(_edge_mask(g, f), r)[0] < r
+    return g._max_flow(g.edge_mask(f), r)[0] < r
 
 
 # -- explicit construction ------------------------------------------------------

@@ -1,6 +1,7 @@
 import pytest
 
 from pathcomplexes.cli import main
+from pathcomplexes.digraph import Digraph
 from pathcomplexes.errors import GraphParseError
 from pathcomplexes.graphio import format_graph, parse_graph
 from pathcomplexes.verify import (example_graph, parallel_graph, path_graph)
@@ -214,6 +215,57 @@ def test_resource_guard_exits_3(capsys, tmp_path):
     path = write_graph(tmp_path, parallel_graph(13))
     code, _, err = run(capsys, "grape", path, "--complex", "pm")
     assert code == 3 and "resource limit" in err
+
+
+# -- long and large graphs, at the default recursion limit -------------------------
+
+
+def grid_graph(rows: int, cols: int) -> Digraph:
+    """Right and down edges of a rows x cols grid, corner to corner."""
+    name = lambda i, j: f"g{i}_{j}"
+    edges = [(name(i, j), name(i + di, j + dj))
+             for i in range(rows) for j in range(cols)
+             for di, dj in ((0, 1), (1, 0)) if i + di < rows and j + dj < cols]
+    vertices = [name(i, j) for i in range(rows) for j in range(cols)]
+    return Digraph.build(vertices, edges, name(0, 0), name(rows - 1, cols - 1))
+
+
+def test_long_path_queries(capsys, tmp_path):
+    g = path_graph(1500)
+    path = write_graph(tmp_path, g)
+    assert run(capsys, "chi", path, "--complex", "pm")[:2] == (0, "-1 generic-acyclic odd\n")
+    assert run(capsys, "chi", path, "--complex", "pf")[:2] == (0, "1 generic-acyclic odd\n")
+    assert run(capsys, "homotopy", path, "--complex", "pm")[:2] == (0, "sphere -1\n")
+    assert run(capsys, "homotopy", path, "--complex", "pf")[:2] == (0, "sphere 1498\n")
+    code, out, _ = run(capsys, "analyze", path)
+    assert code == 0
+    assert out == ("cycle: no\n"
+                   "useless-edges: (none)\n"
+                   f"nonsinks: {' '.join(g.vertices[:-1])}\n"
+                   "quasi-cycle-packing: 0\n"
+                   "min-cut: 1\n"
+                   "shortest-path-length: 1500\n")
+
+
+def test_long_path_with_loop_at_t(capsys, tmp_path):
+    g = path_graph(1500)
+    g = Digraph(g.vertices, g.edges + ((1500, "t", "t"),), g.s, g.t,
+                g.edge_labels + ("loop",))
+    code, out, _ = run(capsys, "analyze", write_graph(tmp_path, g))
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[:2] == ["cycle: yes", "useless-edges: loop"]
+    assert lines[3:] == ["quasi-cycle-packing: 1", "min-cut: 1",
+                         "shortest-path-length: 1500"]
+
+
+def test_large_grid_analyze(capsys, tmp_path):
+    code, out, _ = run(capsys, "analyze", write_graph(tmp_path, grid_graph(30, 30)))
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[:2] == ["cycle: no", "useless-edges: (none)"]
+    assert lines[3:] == ["quasi-cycle-packing: 0", "min-cut: 2",
+                         "shortest-path-length: 58"]
 
 
 def test_usage_error_exits_2(capsys):

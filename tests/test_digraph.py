@@ -1,11 +1,15 @@
 import math
+import random
+from collections import defaultdict
+from itertools import product
 
 import pytest
 
 from pathcomplexes.digraph import Digraph, Walk
 from pathcomplexes.errors import ResourceLimitError
-from pathcomplexes.verify import (double_cycle_graph, edgeless_graph,
-                                  example_graph, loop_graph, parallel_graph,
+from pathcomplexes.verify import (CorpusSpec, double_cycle_graph,
+                                  edgeless_graph, example_graph,
+                                  generate_corpus, loop_graph, parallel_graph,
                                   path_graph)
 
 
@@ -133,6 +137,14 @@ def test_has_st_path_within_matches_subgraph():
 # -- useless edges, cycles, nonsinks ----------------------------------------------
 
 
+def test_has_st_path_within_rejects_unknown_ids():
+    g = example_graph()
+    with pytest.raises(ValueError):
+        g.has_st_path_within({42})
+    with pytest.raises(ValueError):
+        g.has_st_path_within(set(g.edge_ids) | {42})
+
+
 def test_example_has_no_useless_edges():
     assert example_graph().useless_edges() == frozenset()
 
@@ -156,6 +168,39 @@ def test_self_loop_counts_as_cycle():
     g = Digraph.build(["s", "t"], [("s", "t"), ("t", "t")], "s", "t")
     cycle = g.find_cycle()
     assert cycle is not None and cycle.edge_set() == frozenset({1})
+
+
+def random_multigraph(rng: random.Random) -> Digraph:
+    """Up to 6 vertices with self-loops, parallel twins and possibly s = t."""
+    names = [f"v{i}" for i in range(rng.randint(1, 6))]
+    edges = []
+    for _ in range(rng.randint(0, 12)):
+        u = rng.choice(names)
+        v = u if rng.random() < 0.15 else rng.choice(names)
+        edges += [(u, v)] * (2 if rng.random() < 0.2 else 1)
+    return Digraph.build(names, edges, rng.choice(names), rng.choice(names))
+
+
+def test_cycles_match_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(4)
+    graphs = generate_corpus(CorpusSpec(graph_count=200))
+    graphs += [random_multigraph(rng) for _ in range(300)]
+    for g in graphs:
+        parallel = defaultdict(list)
+        for eid, u, v in g.edges:
+            parallel[u, v].append(eid)
+        simple = nx.DiGraph(list(parallel))
+        simple.add_nodes_from(g.vertices)
+        # A vertex cycle stands for one edge cycle per choice of parallel edges.
+        want = [frozenset(es) for cyc in nx.simple_cycles(simple)
+                for es in product(*(parallel[u, v]
+                                    for u, v in zip(cyc, cyc[1:] + cyc[:1])))]
+        got = g._simple_cycle_edge_sets()
+        assert len(got) == len(want) and set(got) == set(want)
+        cycle = g.find_cycle()
+        assert (cycle is None) == nx.is_directed_acyclic_graph(simple)
+        assert cycle is None or cycle.edge_set() in set(got)
 
 
 def test_nonsinks():
