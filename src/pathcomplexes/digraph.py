@@ -359,15 +359,17 @@ class Digraph:
         shortcut is unsound, so the paths are enumerated instead.
         """
         if self.find_cycle() is None:
-            fwd = self._reachable_from_s()
-            bwd = self._coreachable_to_t()
-            return frozenset(
-                eid for eid, u, v in self.edges if not (u in fwd and v in bwd)
-            )
+            return self._useless_when_acyclic()
         used: set[int] = set()
         for path in self.enumerate_st_paths():
             used.update(path.edges)
         return frozenset(self.edge_ids) - used
+
+    def _useless_when_acyclic(self) -> frozenset[int]:
+        """``useless_edges`` of a graph already known to have no cycle."""
+        fwd = self._reachable_from_s()
+        bwd = self._coreachable_to_t()
+        return frozenset(eid for eid, u, v in self.edges if not (u in fwd and v in bwd))
 
     def _strong_components(self) -> dict:
         """Vertex -> a label shared by exactly the vertices of its strongly

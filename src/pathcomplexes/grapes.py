@@ -5,7 +5,9 @@ link and the deletion at a must again be grapes, plus a side condition.
 For strong grapes at least one of link/deletion must be a cone; for
 combinatorial grapes some cone must sit between them.  Recognition
 returns an explicit certificate tree that can be replayed step by step
-against the complex.
+against the complex.  For the two complexes of a digraph the peeling can
+follow the edges out of s, walking edge-deleted and edge-contracted
+graphs instead of complexes.
 """
 
 from __future__ import annotations
@@ -13,7 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
+from .digraph import Digraph
 from .errors import ResourceLimitError
+from .pathcomplex import build_pf, build_pm
 from .simplicial import SimplicialComplex
 
 GRAPE_GROUND_LIMIT = 12
@@ -60,10 +64,10 @@ GrapeNode = Union[BaseCase, Split]
 GrapeCertificate = GrapeNode
 
 
-def _check_ground(c: SimplicialComplex, limit: int):
-    if len(c.ground) > limit:
+def _check_ground(n: int, limit: int):
+    if n > limit:
         raise ResourceLimitError(
-            f"ground size {len(c.ground)} exceeds the grape search limit of {limit}")
+            f"ground size {n} exceeds the grape search limit of {limit}")
 
 
 def find_cone_witness(link: SimplicialComplex,
@@ -120,14 +124,14 @@ def is_strong_grape(c: SimplicialComplex,
     Apexes are tried in ground order; results are memoized on the
     (ground, faces) pair for the duration of one call.
     """
-    _check_ground(c, limit)
+    _check_ground(len(c.ground), limit)
     return _search(c, find_cone_witness, {})
 
 
 def is_combinatorial_grape(c: SimplicialComplex,
                            limit: int = GRAPE_GROUND_LIMIT) -> Optional[GrapeCertificate]:
     """Certificate that c is a combinatorial grape, or None."""
-    _check_ground(c, limit)
+    _check_ground(len(c.ground), limit)
     return _search(c, _sandwich_witness, {})
 
 
@@ -158,3 +162,40 @@ def replay_certificate(cert: GrapeNode, c: SimplicialComplex) -> bool:
         return False
     return (replay_certificate(cert.link_child, link)
             and replay_certificate(cert.deletion_child, deletion))
+
+
+# -- graph-guided certificates ------------------------------------------------------
+
+
+def source_apex_strong_certificate(g: Digraph, which: str,
+                                   limit: int = GRAPE_GROUND_LIMIT) -> Optional[GrapeNode]:
+    """Strong-grape certificate whose apex, whenever the graph offers a
+    non-useless edge out of s, is the lowest-id such edge.
+
+    The two children of the split correspond to the edge-deleted and
+    edge-contracted graphs, so the recursion walks graphs rather than
+    complexes.  Graphs with no such edge (s = t, or no s-t-path at all)
+    fall back to the unrestricted search.
+    """
+    _check_ground(len(g.edges), limit)
+    c = build_pm(g) if which == "pm" else build_pf(g)
+    if len(c.ground) <= 1:
+        return BaseCase(c.ground)
+    useless = g.useless_edges()
+    candidates = [eid for eid, u, _ in sorted(g.edges)
+                  if u == g.s and eid not in useless]
+    if not candidates:
+        return is_strong_grape(c, limit)
+    e = candidates[0]
+    side = find_cone_witness(c.link(e), c.deletion(e))
+    if side is None:
+        return None
+    if which == "pm":
+        link_graph, deletion_graph = g.delete_edge(e), g.contract_edge(e)
+    else:
+        link_graph, deletion_graph = g.contract_edge(e), g.delete_edge(e)
+    link_child = source_apex_strong_certificate(link_graph, which, limit)
+    deletion_child = source_apex_strong_certificate(deletion_graph, which, limit)
+    if link_child is None or deletion_child is None:
+        return None
+    return Split(e, link_child, deletion_child, side)

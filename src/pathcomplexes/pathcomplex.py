@@ -233,15 +233,20 @@ def _parity(value: int) -> str:
     return "odd" if value % 2 else "even"
 
 
+def _cycle_or_useless(g: Digraph) -> bool:
+    """True iff g has a cycle or a useless edge.  The cycle search runs
+    once: without a cycle, uselessness is decided by reachability."""
+    return g.find_cycle() is not None or bool(g._useless_when_acyclic())
+
+
 def chi_pm_closed(g: Digraph) -> ChiReport:
     """Reduced Euler characteristic of the path-missing complex.
 
     Zero as soon as the graph has a cycle or a useless edge, and for the
     edgeless graph with s != t; otherwise (-1)^(|E| - |V'| + 1) where V'
-    is the set of nonsinks.  The cycle test runs first so that the
-    acyclic shortcut may decide uselessness.
+    is the set of nonsinks.
     """
-    if g.find_cycle() is not None or g.useless_edges():
+    if _cycle_or_useless(g):
         return ChiReport(0, CASE_USELESS_OR_CYCLE, "even")
     if not g.edges and g.s != g.t:
         return ChiReport(0, CASE_EMPTY_EDGE, "even")
@@ -259,7 +264,7 @@ def chi_pf_closed(g: Digraph) -> ChiReport:
     if not g.edges:
         value = -1 if g.s != g.t else 0
         return ChiReport(value, CASE_EMPTY_EDGE, _parity(value))
-    if g.find_cycle() is not None or g.useless_edges():
+    if _cycle_or_useless(g):
         return ChiReport(0, CASE_USELESS_OR_CYCLE, "even")
     value = (-1) ** len(g.nonsinks())
     return ChiReport(value, CASE_GENERIC_ACYCLIC, _parity(value))
@@ -273,7 +278,7 @@ def homotopy_pm(g: Digraph) -> HomotopyClass:
     cycle; otherwise a sphere of dimension |E| - |V'| - 1."""
     if not g.has_st_path():
         return EMPTY_COMPLEX
-    if g.find_cycle() is not None or g.useless_edges():
+    if _cycle_or_useless(g):
         return CONTRACTIBLE
     return sphere(len(g.edges) - len(g.nonsinks()) - 1)
 
@@ -286,7 +291,7 @@ def homotopy_pf(g: Digraph) -> HomotopyClass:
         return EMPTY_COMPLEX
     if not g.edges:
         return sphere(-1)
-    if g.find_cycle() is not None or g.useless_edges():
+    if _cycle_or_useless(g):
         return CONTRACTIBLE
     return sphere(len(g.nonsinks()) - 2)
 

@@ -31,12 +31,6 @@ class BettiVector:
     def from_dict(cls, values: dict[int, int]) -> "BettiVector":
         return cls(tuple(sorted((d, b) for d, b in values.items() if b)))
 
-    def __getitem__(self, dim: int) -> int:
-        for d, b in self.entries:
-            if d == dim:
-                return b
-        return 0
-
     def alternating_sum(self) -> int:
         """Sum of (-1)^d * betti(d); equals the reduced Euler characteristic."""
         return sum(b if d % 2 == 0 else -b for d, b in self.entries)

@@ -2,15 +2,17 @@ from itertools import combinations
 
 import pytest
 
+from pathcomplexes import grapes
 from pathcomplexes.errors import ResourceLimitError
 from pathcomplexes.grapes import (BaseCase, ConeWitness, SandwichWitness,
                                   Split, is_combinatorial_grape,
-                                  is_strong_grape, replay_certificate)
+                                  is_strong_grape, replay_certificate,
+                                  source_apex_strong_certificate)
 from pathcomplexes.pathcomplex import build_pf, build_pm
 from pathcomplexes.simplicial import (SimplicialComplex, empty_complex,
                                       full_simplex, irrelevant_complex)
 from pathcomplexes.verify import (double_cycle_graph, example_graph,
-                                  fixture_battery, source_apex_strong_certificate)
+                                  fixture_battery, parallel_graph)
 
 
 def projective_plane():
@@ -113,3 +115,11 @@ def test_source_apex_restricted_search_succeeds():
             wanted = min(eid for eid, u, _ in g.edges
                          if u == g.s and eid not in useless)
             assert isinstance(cert, Split) and cert.apex == wanted
+
+
+def test_source_apex_guard_precedes_the_build(monkeypatch):
+    def build(*_):
+        raise AssertionError("complex built above the grape search limit")
+    monkeypatch.setattr(grapes, "build_pm", build)
+    with pytest.raises(ResourceLimitError):
+        source_apex_strong_certificate(parallel_graph(13), "pm")

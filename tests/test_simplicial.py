@@ -1,3 +1,5 @@
+from math import comb
+
 import pytest
 
 from pathcomplexes.errors import ResourceLimitError
@@ -6,7 +8,10 @@ from pathcomplexes.polynomial import IntPolynomial
 from pathcomplexes.simplicial import (SimplicialComplex, empty_complex,
                                       full_simplex, irrelevant_complex,
                                       proper_subsets_complex)
-from pathcomplexes.verify import example_graph
+from pathcomplexes.verify import CorpusSpec, example_graph, generate_corpus
+
+# The corpus of acceptance criterion 7; every graph has at most 8 edges.
+CORPUS_SPEC = CorpusSpec(graph_count=500, seed=1)
 
 
 def complex_of(*faces, ground):
@@ -174,3 +179,124 @@ def test_betti_vector_alternating_sum():
               build_pm(example_graph())):
         assert (c.gf2_reduced_betti().alternating_sum()
                 == c.reduced_euler_characteristic())
+
+
+# -- generic identities over the corpus complexes ---------------------------------
+#
+# These hold for every simplicial complex; each test runs one of them over
+# the path-missing and path-free complexes of every corpus graph.
+
+
+@pytest.fixture(scope="module")
+def corpus_complexes():
+    """(label, complex) for the pm and pf complexes of every corpus graph."""
+    return [(f"graph {i} {name}", build(g))
+            for i, g in enumerate(generate_corpus(CORPUS_SPEC))
+            for name, build in (("pm", build_pm), ("pf", build_pf))]
+
+
+def test_corpus_dual_involution(corpus_complexes):
+    for name, c in corpus_complexes:
+        assert c.alexander_dual().alexander_dual() == c, name
+
+
+def test_corpus_facets_complement_dual_nonfaces(corpus_complexes):
+    for name, c in corpus_complexes:
+        gset = frozenset(c.ground)
+        want = {gset - n for n in c.alexander_dual().minimal_nonfaces()}
+        assert set(c.facets()) == want, name
+
+
+def test_corpus_deletion_star_partition(corpus_complexes):
+    for name, c in corpus_complexes:
+        for i, w in enumerate(c.ground):
+            dl, st, lk = c.deletion(w), c.star(w), c.link(w)
+            # Deletion and link live on the ground without w: put bit i back.
+            low = (1 << i) - 1
+            dl_faces, lk_faces = ({(f & low) | ((f & ~low) << 1) for f in x.faces}
+                                  for x in (dl, lk))
+            assert dl_faces | st.faces == c.faces, (name, w)
+            assert dl_faces & st.faces == lk_faces, (name, w)
+            assert st.is_cone_with_apex(w), (name, w)
+            assert sum(1 for f in c.faces if f >> i & 1) == len(lk.faces), (name, w)
+
+
+def test_corpus_fpoly_deletion_link_recursion(corpus_complexes):
+    for name, c in corpus_complexes:
+        f = c.f_polynomial()
+        for w in c.ground:
+            split = c.deletion(w).f_polynomial() + c.link(w).f_polynomial().shift()
+            assert f == split, (name, w)
+
+
+def test_corpus_fpoly_cone_factor(corpus_complexes):
+    fired = 0
+    for name, c in corpus_complexes:
+        for w in c.ground:
+            if not c.is_cone_with_apex(w):
+                continue
+            fired += 1
+            lk = c.link(w)
+            assert c.deletion(w) == lk, (name, w)
+            assert c.f_polynomial() == lk.f_polynomial() * IntPolynomial((1, 1)), (name, w)
+    assert fired
+
+
+def test_corpus_fpoly_dual_coefficients(corpus_complexes):
+    for name, c in corpus_complexes:
+        n = len(c.ground)
+        f = c.f_polynomial()
+        fd = c.alexander_dual().f_polynomial()
+        for k in range(n + 1):
+            assert fd[k] == comb(n, k) - f[n - k], (name, k)
+
+
+def test_corpus_chi_deletion_link_recursion(corpus_complexes):
+    for name, c in corpus_complexes:
+        chi = c.reduced_euler_characteristic()
+        for w in c.ground:
+            assert chi == (c.deletion(w).reduced_euler_characteristic()
+                           - c.link(w).reduced_euler_characteristic()), (name, w)
+
+
+def test_corpus_chi_dual_sign(corpus_complexes):
+    for name, c in corpus_complexes:
+        n = len(c.ground)
+        if n == 0:
+            continue
+        lhs = c.alexander_dual().reduced_euler_characteristic()
+        assert lhs == (-1) ** (n - 1) * c.reduced_euler_characteristic(), name
+
+
+def test_corpus_chi_boundary_sphere(corpus_complexes):
+    for name, c in corpus_complexes:
+        if c.ground:
+            sphere = proper_subsets_complex(c.ground)
+            assert sphere.reduced_euler_characteristic() == (-1) ** len(c.ground), name
+
+
+def test_corpus_chi_full_simplex(corpus_complexes):
+    for name, c in corpus_complexes:
+        if c.ground:
+            assert full_simplex(c.ground).reduced_euler_characteristic() == 0, name
+
+
+def test_corpus_chi_cone_vanishes(corpus_complexes):
+    fired = 0
+    for name, c in corpus_complexes:
+        if c.is_cone():
+            fired += 1
+            assert c.reduced_euler_characteristic() == 0, name
+    assert fired
+
+
+def test_corpus_chi_equals_betti_alternating_sum(corpus_complexes):
+    for name, c in corpus_complexes:
+        assert (c.reduced_euler_characteristic()
+                == c.gf2_reduced_betti().alternating_sum()), name
+
+
+def test_corpus_suspension_negates_chi(corpus_complexes):
+    for name, c in corpus_complexes:
+        assert (c.suspension().reduced_euler_characteristic()
+                == -c.reduced_euler_characteristic()), name

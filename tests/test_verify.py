@@ -79,7 +79,7 @@ def test_example_graph_passes_every_applicable_check():
     for expected in ("pf-pm-alexander-dual", "chi-pm-closed-form",
                      "dc-equals-enumeration", "homology-matches-classification",
                      "strong-grape-certificates", "maxflow-equals-mincut",
-                     "contraction-path-correspondence"):
+                     "pf-link-deletion-match-graph-ops"):
         assert expected in passed
 
 
@@ -106,10 +106,31 @@ def test_rare_conditional_check_fires_on_doubled_path():
 def test_oversized_graph_skips_enumeration_checks():
     big = parallel_graph(13)
     outcomes = {o.check_id: o for o in run_all_checks(big)}
-    assert outcomes["dc-equals-enumeration"].status == "skip"
-    assert outcomes["strong-grape-certificates"].status == "skip"
+    # Every check that reads a complex skips: the one enumeration guard
+    # is the complex build, which refuses 13 edges.
+    for check_id in (
+            "build-oracles-downward-closed", "pf-pm-alexander-dual",
+            "pf-minimal-nonfaces-are-paths", "pm-minimal-nonfaces-are-min-cuts",
+            "pf-codimension-is-min-cut", "pm-codimension-is-shortest-path",
+            "pm-link-deletion-match-graph-ops", "pf-link-deletion-match-graph-ops",
+            "useless-edge-cone", "chi-pm-closed-form", "chi-pf-closed-form",
+            "face-count-parity", "dc-equals-enumeration",
+            "homology-matches-classification", "strong-grape-certificates",
+            "strong-implies-combinatorial", "grape-apex-source-restriction",
+            "parallel-rgen-chi"):
+        assert outcomes[check_id].status == "skip", check_id
+    assert outcomes["parallel-rgen-chi"].detail == \
+        "13 edges exceed the enumeration limit of 12"
     # Recursion-based checks still run.
     assert outcomes["fpoly-quasicycle-divisibility"].status == "pass"
+
+
+def test_grape_checks_skip_above_the_grape_limit():
+    outcomes = {o.check_id: o for o in run_all_checks(example_graph(), grape_limit=6)}
+    for check_id in ("strong-grape-certificates", "strong-implies-combinatorial",
+                     "grape-apex-source-restriction"):
+        assert outcomes[check_id].status == "skip", check_id
+        assert "grape search limit" in outcomes[check_id].detail
 
 
 def test_report_lines_are_stable_and_well_formed():
