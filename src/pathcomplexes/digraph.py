@@ -4,8 +4,12 @@ Everything downstream consumes the queries defined here: simple s-t-path
 enumeration, useless-edge detection, cycle finding, quasi-cycles and their
 exact disjoint packing, and unit-capacity flow for edge-disjoint paths.
 Every search walks an explicit stack, so no query's depth is bounded by
-the interpreter's recursion limit; cycle enumeration only enters strongly
-connected components, where a cycle can close.
+the interpreter's recursion limit.  Exponential searches are confined by
+exact reductions: cycle enumeration and the useless-edge path search only
+enter strongly connected components, and the packing drops dominated
+quasi-cycles and packs each conflict component on its own.  The
+whole-graph queries (reachability, the cycle witness, the strongly
+connected components, the useless edges) are computed once per graph.
 
 Graphs are immutable; deletion and contraction return new graphs and never
 renumber the surviving edge ids, so edge subsets remain comparable between
@@ -15,8 +19,10 @@ a graph and its minors.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Hashable, Optional, Sequence
 
 from .errors import ResourceLimitError
@@ -200,7 +206,7 @@ class Digraph:
 
     def has_st_path(self) -> bool:
         """True iff t is reachable from s (a walk exists iff a path does)."""
-        return self.t in self._reachable_from_s()
+        return self.t in self._reachable_from_s
 
     def edge_mask(self, edge_ids) -> int:
         """The edge mask of a set of edge ids; ids the graph lacks raise
@@ -289,7 +295,9 @@ class Digraph:
             frontier = nxt
         return None
 
+    @cached_property
     def _reachable_from_s(self) -> set:
+        """Vertices reachable from s (shared by every query: never mutated)."""
         seen = {self.s}
         stack = [self.s]
         while stack:
@@ -300,7 +308,9 @@ class Digraph:
                     stack.append(w)
         return seen
 
+    @cached_property
     def _coreachable_to_t(self) -> set:
+        """Vertices from which t is reachable (shared: never mutated)."""
         seen = {self.t}
         stack = [self.t]
         while stack:
@@ -319,8 +329,13 @@ class Digraph:
         Self-loops count as cycles.  Vertices are tried in declaration
         order, so the answer is deterministic: the first edge that leads
         back onto the search stack closes the witness.  The search keeps
-        an explicit stack of neighbour iterators.
+        an explicit stack of neighbour iterators, and runs once per graph.
         """
+        return self._cycle
+
+    @cached_property
+    def _cycle(self) -> Optional[Walk]:
+        """The witness ``find_cycle`` returns."""
         out = self._out
         state: dict = {}  # vertex -> its index on the search stack, -1 once done
         for root in self.vertices:
@@ -351,31 +366,66 @@ class Digraph:
         return frozenset(u for _, u, _ in self.edges)
 
     def useless_edges(self) -> frozenset[int]:
-        """Edges lying on no simple s-t-path.
+        """Edges lying on no simple s-t-path, computed once per graph.
 
-        On acyclic graphs an edge (u, v) is useful iff u is reachable from
-        s and t is reachable from v: the concatenated walk cannot revisit
-        a vertex without closing a cycle.  With cycles present that
-        shortcut is unsound, so the paths are enumerated instead.
+        An edge (u, v) is useless when u is unreachable from s, t is
+        unreachable from v, or it is a self-loop.  Any other edge whose
+        endpoints lie in different strongly connected components is
+        useful: an s-u path stays in components at or before u's in
+        topological order and a v-t path in components at or after v's, so
+        the two share no vertex.  A simple s-t-path meets a component C in
+        one simple path inside C, from an entry of C (s, or a vertex with
+        an in-edge from outside C that s reaches) to an exit (t, or a
+        vertex with an out-edge to outside C that reaches t), and every
+        such path extends to an s-t-path that way.  So only edges inside
+        a component need a search, and it stays inside that component;
+        it is still exponential in the component's size.  An acyclic
+        graph needs neither the components nor a search.
         """
-        if self.find_cycle() is None:
-            return self._useless_when_acyclic()
-        used: set[int] = set()
-        for path in self.enumerate_st_paths():
-            used.update(path.edges)
-        return frozenset(self.edge_ids) - used
+        return self._useless
 
-    def _useless_when_acyclic(self) -> frozenset[int]:
-        """``useless_edges`` of a graph already known to have no cycle."""
-        fwd = self._reachable_from_s()
-        bwd = self._coreachable_to_t()
-        return frozenset(eid for eid, u, v in self.edges if not (u in fwd and v in bwd))
+    @cached_property
+    def _useless(self) -> frozenset[int]:
+        """The edge set ``useless_edges`` returns."""
+        fwd, bwd = self._reachable_from_s, self._coreachable_to_t
+        useless = {eid for eid, u, v in self.edges
+                   if u == v or u not in fwd or v not in bwd}
+        if self._cycle is None:
+            return frozenset(useless)
+        comp = self._strong_components
+        inside = defaultdict(set)  # component -> its undecided edges
+        entries, exits = defaultdict(set), defaultdict(set)
+        entries[comp[self.s]].add(self.s)
+        exits[comp[self.t]].add(self.t)
+        for eid, u, v in self.edges:
+            if comp[u] != comp[v]:
+                if u in fwd:
+                    entries[comp[v]].add(v)
+                if v in bwd:
+                    exits[comp[u]].add(u)
+            elif eid not in useless:
+                inside[comp[u]].add(eid)
+        members = defaultdict(set)
+        for v, label in comp.items():
+            members[label].add(v)
+        for label, todo in inside.items():
+            paths = chain.from_iterable(
+                self._simple_walks(a, b, members[label] - {a, b})
+                for a in entries[label] for b in exits[label] if a != b)
+            for path in paths:
+                todo.difference_update(path.edges)
+                if not todo:
+                    break
+            useless |= todo
+        return frozenset(useless)
 
+    @cached_property
     def _strong_components(self) -> dict:
         """Vertex -> a label shared by exactly the vertices of its strongly
         connected component (Tarjan, with an explicit stack of neighbour
-        iterators).  An open vertex holds the lowest visit order it reaches;
-        closing a component relabels it ``n`` + its root's visit order."""
+        iterators), computed once per graph.  An open vertex holds the
+        lowest visit order it reaches; closing a component relabels it
+        ``n`` + its root's visit order."""
         out = self._out
         n = len(self.vertices)
         low: dict = {}
@@ -421,7 +471,7 @@ class Digraph:
         """
         vindex = {v: i for i, v in enumerate(self.vertices)}
         out, inc = self._out, self._in
-        comp = self._strong_components()
+        comp = self._strong_components
         found: list[frozenset[int]] = []
         for start in self.vertices:
             base, label = vindex[start], comp[start]
@@ -457,30 +507,37 @@ class Digraph:
                                   ) -> tuple[int, tuple[QuasiCycle, ...]]:
         """Exact maximum packing of pairwise edge-disjoint quasi-cycles.
 
-        Branch and bound over the quasi-cycle list; refuses to run when the
-        list exceeds ``limit`` entries.
+        Refuses to run when ``quasi_cycles()`` has more than ``limit``
+        entries.  Two exact reductions come first.  A quasi-cycle that
+        strictly contains another is dropped, since the smaller one can
+        take its place in any packing.  The rest split into components of
+        the conflict relation (two quasi-cycles conflict when they share
+        an edge), and each component is packed on its own by an iterative
+        branch and bound over edge masks.  The packing number is the sum
+        over the components; the witness is the union of theirs.
         """
         qcs = self.quasi_cycles()
         if len(qcs) > limit:
             raise ResourceLimitError(
                 f"{len(qcs)} quasi-cycles exceed the packing limit of {limit}")
-        best: list[QuasiCycle] = []
-
-        def search(i: int, chosen: list[QuasiCycle], used: frozenset[int]):
-            nonlocal best
-            if len(chosen) > len(best):
-                best = list(chosen)
-            if i == len(qcs) or len(chosen) + (len(qcs) - i) <= len(best):
-                return
-            qc = qcs[i]
-            if not (qc.edges & used):
-                chosen.append(qc)
-                search(i + 1, chosen, used | qc.edges)
-                chosen.pop()
-            search(i + 1, chosen, used)
-
-        search(0, [], frozenset())
-        return len(best), tuple(best)
+        bits = self.edge_bits
+        masks = [sum(bits[e] for e in qc.edges) for qc in qcs]
+        # ``qcs`` is sorted by size, so a strict subset comes earlier.
+        rest = [i for i, m in enumerate(masks) if not any(o & m == o for o in masks[:i])]
+        chosen: list[int] = []
+        while rest:
+            # Grow the conflict component of rest[0] until no mask joins it.
+            group, span = [], masks[rest[0]]
+            while True:
+                joined = [i for i in rest if masks[i] & span]
+                if len(joined) == len(group):
+                    break
+                group = joined
+                for i in group:
+                    span |= masks[i]
+            rest = [i for i in rest if not masks[i] & span]
+            chosen += (group[k] for k in _max_disjoint([masks[i] for i in group]))
+        return len(chosen), tuple(qcs[i] for i in sorted(chosen))
 
     # -- flows ------------------------------------------------------------------
 
@@ -544,3 +601,23 @@ class Digraph:
             raise ValueError("no cut-set exists when s = t")
         _, side = self._max_flow()
         return sum(1 for _, u, v in self.edges if u in side and v not in side)
+
+
+def _max_disjoint(masks: list[int]) -> tuple[int, ...]:
+    """Positions of a largest set of pairwise disjoint masks.
+
+    Branch and bound on an explicit stack: each mask is first taken, when
+    it fits, then skipped; a branch stops once the masks left cannot beat
+    the best set found.
+    """
+    best: tuple[int, ...] = ()
+    stack = [(0, 0, ())]
+    while stack:
+        i, used, taken = stack.pop()
+        if len(taken) > len(best):
+            best = taken
+        if i < len(masks) and len(taken) + len(masks) - i > len(best):
+            stack.append((i + 1, used, taken))
+            if not masks[i] & used:
+                stack.append((i + 1, used | masks[i], taken + (i,)))
+    return best

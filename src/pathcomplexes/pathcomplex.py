@@ -183,7 +183,7 @@ def fpoly_pm_dc(g: Digraph) -> IntPolynomial:
         cones = 0
         while g.s != g.t:
             s, t = g.s, g.t
-            fwd, bwd = g._reachable_from_s(), g._coreachable_to_t()
+            fwd, bwd = g._reachable_from_s, g._coreachable_to_t
             if t not in fwd:
                 return IntPolynomial()
 
@@ -234,9 +234,9 @@ def _parity(value: int) -> str:
 
 
 def _cycle_or_useless(g: Digraph) -> bool:
-    """True iff g has a cycle or a useless edge.  The cycle search runs
-    once: without a cycle, uselessness is decided by reachability."""
-    return g.find_cycle() is not None or bool(g._useless_when_acyclic())
+    """True iff g has a cycle or a useless edge.  Without a cycle,
+    uselessness is decided by reachability alone."""
+    return g.find_cycle() is not None or bool(g.useless_edges())
 
 
 def chi_pm_closed(g: Digraph) -> ChiReport:

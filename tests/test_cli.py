@@ -268,6 +268,38 @@ def test_large_grid_analyze(capsys, tmp_path):
                          "shortest-path-length: 58"]
 
 
+def test_cycle_ladder_analyze(capsys, tmp_path):
+    # Each rung is a 2-cycle; the only s-t-path runs forward, so every
+    # backward edge is useless, and those 20 singletons pack disjointly.
+    names = [f"c{i}" for i in range(21)]
+    edges, labels = [], []
+    for i in range(20):
+        edges += [(names[i], names[i + 1]), (names[i + 1], names[i])]
+        labels += [f"f{i}", f"b{i}"]
+    g = Digraph.build(names, edges, "c0", "c20", labels)
+    code, out, _ = run(capsys, "analyze", write_graph(tmp_path, g))
+    assert code == 0
+    assert out == ("cycle: yes\n"
+                   f"useless-edges: {' '.join(f'b{i}' for i in range(20))}\n"
+                   f"nonsinks: {' '.join(names)}\n"
+                   "quasi-cycle-packing: 20\n"
+                   "min-cut: 1\n"
+                   "shortest-path-length: 20\n")
+
+
+def test_grid_with_loop_analyze(capsys, tmp_path):
+    g = grid_graph(12, 12)
+    g = Digraph(g.vertices, g.edges + ((len(g.edges), "g5_5", "g5_5"),), g.s, g.t)
+    code, out, _ = run(capsys, "analyze", write_graph(tmp_path, g))
+    assert code == 0
+    assert out == ("cycle: yes\n"
+                   f"useless-edges: {len(g.edges) - 1}\n"
+                   f"nonsinks: {' '.join(g.vertices[:-1])}\n"
+                   "quasi-cycle-packing: 1\n"
+                   "min-cut: 2\n"
+                   "shortest-path-length: 22\n")
+
+
 def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as err:
         main(["fpoly"])  # missing required arguments

@@ -1,7 +1,7 @@
 import math
 import random
 from collections import defaultdict
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -271,6 +271,81 @@ def test_packing_zero_on_clean_dag():
 def test_packing_guard():
     with pytest.raises(ResourceLimitError):
         example_graph().max_disjoint_quasi_cycles(limit=0)
+
+
+def cycle_ladder(rungs: int) -> Digraph:
+    """c0..c<rungs>, each step a 2-cycle: forward edge 2k, backward 2k + 1."""
+    names = [f"c{i}" for i in range(rungs + 1)]
+    edges = [e for i in range(rungs)
+             for e in ((names[i], names[i + 1]), (names[i + 1], names[i]))]
+    return Digraph.build(names, edges, names[0], names[-1])
+
+
+def test_packing_guard_counts_quasi_cycles_before_reductions():
+    # 12 rung cycles and 12 useless backward edges; the reductions leave
+    # 12 singletons, but the guard still counts all 24.
+    g = cycle_ladder(12)
+    qcs = g.quasi_cycles()
+    assert len(qcs) == 24
+    with pytest.raises(ResourceLimitError):
+        g.max_disjoint_quasi_cycles(limit=len(qcs) - 1)
+    assert g.max_disjoint_quasi_cycles(limit=len(qcs))[0] == 12
+
+
+def with_gapped_ids(g: Digraph, rng: random.Random) -> Digraph:
+    """The same graph with its edge ids drawn, unsorted, from a wider range."""
+    ids = rng.sample(range(3 * len(g.edges) + 5), len(g.edges))
+    return Digraph(g.vertices, tuple((i, u, v) for i, (_, u, v) in zip(ids, g.edges)),
+                   g.s, g.t)
+
+
+def oracle_graphs() -> list[Digraph]:
+    """The default corpus plus seeded multigraphs with self-loops, parallel
+    edges, s = t and gapped edge ids."""
+    rng = random.Random(6)
+    graphs = generate_corpus(CorpusSpec(graph_count=200))
+    return graphs + [with_gapped_ids(random_multigraph(rng), rng) for _ in range(300)]
+
+
+def test_packing_matches_brute_force():
+    def disjoint(group):
+        edges = [e for qc in group for e in qc.edges]
+        return len(edges) == len(set(edges))
+
+    checked = 0
+    for g in oracle_graphs():
+        qcs = g.quasi_cycles()
+        if len(qcs) > 16:
+            continue
+        checked += 1
+        want = max(k for k in range(len(qcs) + 1)
+                   if any(disjoint(c) for c in combinations(qcs, k)))
+        count, witness = g.max_disjoint_quasi_cycles()
+        assert count == want == len(witness)
+        assert disjoint(witness) and all(qc in qcs for qc in witness)
+    assert checked > 450
+
+
+def test_useless_edges_and_min_cut_match_networkx():
+    nx = pytest.importorskip("networkx")
+    for g in oracle_graphs():
+        parallel = defaultdict(list)
+        for eid, u, v in g.edges:
+            parallel[u, v].append(eid)
+        simple = nx.DiGraph(list(parallel))
+        simple.add_nodes_from(g.vertices)
+        used = {eid for path in nx.all_simple_paths(simple, g.s, g.t)
+                for u, v in zip(path, path[1:]) for eid in parallel[u, v]}
+        assert g.useless_edges() == frozenset(g.edge_ids) - used
+        if g.s == g.t:
+            continue
+        # Parallel edges merge into one arc with their count as capacity;
+        # self-loops carry no s-t flow.
+        capacity = nx.DiGraph()
+        capacity.add_nodes_from(g.vertices)
+        capacity.add_edges_from((u, v, {"capacity": len(ids)})
+                                for (u, v), ids in parallel.items() if u != v)
+        assert g.min_st_cutset_size() == nx.minimum_cut_value(capacity, g.s, g.t)
 
 
 # -- flows ---------------------------------------------------------------------------
