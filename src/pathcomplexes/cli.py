@@ -1,8 +1,10 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 check failure, 2 usage or parse error,
-3 resource guard tripped.  All output is deterministic: facets, edge
-lists and certificates are ordered by edge index, never by hash order.
+3 resource guard tripped or recursion or memory exhausted, 4 internal
+error (its traceback goes to stderr).  All output is deterministic:
+facets, edge lists and certificates are ordered by edge index, never by
+hash order.
 """
 
 from __future__ import annotations
@@ -183,85 +185,111 @@ def _cmd_show(args) -> int:
     return 0
 
 
+_FILE = ("file", {})
+_COMPLEX = ("--complex", {"choices": ("pm", "pf"), "required": True})
+
+# name -> (handler, help, arguments as (flag, argparse keywords)), in the
+# order argparse lists them.
+COMMANDS = {
+    "analyze": (_cmd_analyze, "structural summary of the graph", [_FILE]),
+    "fpoly": (_cmd_fpoly, "f-polynomial of a complex",
+              [_FILE, _COMPLEX, ("--method", {"choices": ("dc", "brute"), "default": "dc"})]),
+    "chi": (_cmd_chi, "closed-form reduced Euler characteristic", [_FILE, _COMPLEX]),
+    "homotopy": (_cmd_homotopy, "empty/contractible/sphere classification",
+                 [_FILE, _COMPLEX]),
+    "facets": (_cmd_facets, "maximal faces, one per line", [_FILE, _COMPLEX]),
+    "dual-check": (_cmd_dual_check, "confirm the two complexes are Alexander duals",
+                   [_FILE]),
+    "divis": (_cmd_divis, "divisibility of both f-polynomials by (1+x)^kappa", [_FILE]),
+    "grape": (_cmd_grape, "grape certificate or not-a-grape",
+              [_FILE, _COMPLEX,
+               ("--mode", {"choices": ("strong", "combinatorial"), "default": "strong"})]),
+    "homology": (_cmd_homology, "reduced Betti numbers over GF(2)", [_FILE, _COMPLEX]),
+    "rgen": (_cmd_rgen, "r-edge-disjoint generalized complex",
+             [_FILE, ("-r", {"type": int, "required": True}), _COMPLEX]),
+    "verify": (_cmd_verify, "run the check harness over a corpus",
+               [("--count", {"type": int, "default": 200}),
+                ("--seed", {"type": int, "default": 1}),
+                ("--max-edges", {"type": int, "default": 8}),
+                ("--max-vertices", {"type": int, "default": 6})]),
+    "show": (_cmd_show, "parse and re-serialize a graph file", [_FILE]),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pathcomplexes",
         description="Path-free and path-missing complexes of a directed graph.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+    for name, (fn, help_text, arguments) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
         p.set_defaults(fn=fn)
-        return p
-
-    p = add("analyze", _cmd_analyze, help="structural summary of the graph")
-    p.add_argument("file")
-
-    p = add("fpoly", _cmd_fpoly, help="f-polynomial of a complex")
-    p.add_argument("file")
-    p.add_argument("--complex", choices=("pm", "pf"), required=True)
-    p.add_argument("--method", choices=("dc", "brute"), default="dc")
-
-    p = add("chi", _cmd_chi, help="closed-form reduced Euler characteristic")
-    p.add_argument("file")
-    p.add_argument("--complex", choices=("pm", "pf"), required=True)
-
-    p = add("homotopy", _cmd_homotopy, help="empty/contractible/sphere classification")
-    p.add_argument("file")
-    p.add_argument("--complex", choices=("pm", "pf"), required=True)
-
-    p = add("facets", _cmd_facets, help="maximal faces, one per line")
-    p.add_argument("file")
-    p.add_argument("--complex", choices=("pm", "pf"), required=True)
-
-    p = add("dual-check", _cmd_dual_check,
-            help="confirm the two complexes are Alexander duals")
-    p.add_argument("file")
-
-    p = add("divis", _cmd_divis,
-            help="divisibility of both f-polynomials by (1+x)^kappa")
-    p.add_argument("file")
-
-    p = add("grape", _cmd_grape, help="grape certificate or not-a-grape")
-    p.add_argument("file")
-    p.add_argument("--complex", choices=("pm", "pf"), required=True)
-    p.add_argument("--mode", choices=("strong", "combinatorial"), default="strong")
-
-    p = add("homology", _cmd_homology, help="reduced Betti numbers over GF(2)")
-    p.add_argument("file")
-    p.add_argument("--complex", choices=("pm", "pf"), required=True)
-
-    p = add("rgen", _cmd_rgen, help="r-edge-disjoint generalized complex")
-    p.add_argument("file")
-    p.add_argument("-r", type=int, required=True)
-    p.add_argument("--complex", choices=("pm", "pf"), required=True)
-
-    p = add("verify", _cmd_verify, help="run the check harness over a corpus")
-    p.add_argument("--count", type=int, default=200)
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--max-edges", type=int, default=8)
-    p.add_argument("--max-vertices", type=int, default=6)
-
-    p = add("show", _cmd_show, help="parse and re-serialize a graph file")
-    p.add_argument("file")
-
+        for flag, keywords in arguments:
+            p.add_argument(flag, **keywords)
     return parser
 
 
+def _parse_plain(argv: list[str]) -> argparse.Namespace | None:
+    """Parse the plain form of a command line without building argparse's
+    parser, which costs more than most commands take.
+
+    The plain form is a command, then positionals and exact option names
+    each followed by one value, where no positional or value starts with
+    ``-`` and no option repeats.  Returns None for anything else,
+    including input argparse would reject, so that argparse parses it or
+    prints its usage error; where it returns a namespace, argparse
+    returns an equal one.
+    """
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    fn, _, arguments = COMMANDS[argv[0]]
+    options = {flag: keywords for flag, keywords in arguments if flag.startswith("-")}
+    positionals = [flag for flag, _ in arguments if flag not in options]
+    given = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            if not positionals:
+                return None
+            given[positionals.pop(0)] = token
+            continue
+        keywords = options.get(token)
+        value = next(tokens, "-")
+        if keywords is None or token in given or value.startswith("-"):
+            return None
+        try:
+            given[token] = keywords.get("type", str)(value)
+        except ValueError:
+            return None
+        if "choices" in keywords and given[token] not in keywords["choices"]:
+            return None
+    if positionals:
+        return None
+    args = argparse.Namespace(command=argv[0], fn=fn)
+    for flag, keywords in arguments:
+        if flag not in given and keywords.get("required"):
+            return None
+        setattr(args, flag.lstrip("-").replace("-", "_"), given.get(flag, keywords.get("default")))
+    return args
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _parse_plain(argv) or build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except GraphParseError as exc:
+    except ValueError as exc:  # GraphParseError among them
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ResourceLimitError as exc:
-        print(f"resource limit: {exc}", file=sys.stderr)
+    except (ResourceLimitError, RecursionError, MemoryError) as exc:
+        print(f"resource limit: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 3
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except Exception as exc:
+        import traceback  # here, so that commands that succeed skip the import
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -1,10 +1,23 @@
+import contextlib
+import importlib
+import io
+import itertools
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from pathcomplexes.cli import main
+from pathcomplexes import cli
+from pathcomplexes.cli import COMMANDS, _parse_plain, build_parser, main
 from pathcomplexes.digraph import Digraph
 from pathcomplexes.errors import GraphParseError
 from pathcomplexes.graphio import format_graph, parse_graph
 from pathcomplexes.verify import (example_graph, parallel_graph, path_graph)
+
+ROOT = Path(__file__).resolve().parents[1]
 
 EXAMPLE_FILE = """\
 # the worked five-vertex example
@@ -304,6 +317,143 @@ def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as err:
         main(["fpoly"])  # missing required arguments
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize("exc", [RecursionError("maximum recursion depth exceeded"),
+                                 MemoryError()])
+def test_exhausted_stack_or_memory_exits_3(capsys, monkeypatch, example_path, exc):
+    def parse_graph(text):
+        raise exc
+    monkeypatch.setattr(cli, "parse_graph", parse_graph)
+    code, out, err = run(capsys, "fpoly", example_path, "--complex", "pm")
+    assert (code, out) == (3, "")
+    assert err == f"resource limit: {str(exc) or type(exc).__name__}\n"
+
+
+def test_internal_error_exits_4_with_traceback(capsys, monkeypatch, example_path):
+    def parse_graph(text):
+        raise KeyError("boom")
+    monkeypatch.setattr(cli, "parse_graph", parse_graph)
+    code, out, err = run(capsys, "analyze", example_path)
+    assert (code, out) == (4, "")
+    assert err.startswith("Traceback (most recent call last):\n")
+    assert err.endswith("\ninternal error: KeyError: 'boom'\n")
+
+
+def test_console_entry_point_exit_codes(tmp_path):
+    # A real process: argv comes from sys.argv and the code from sys.exit.
+    graph = tmp_path / "example.graph"
+    graph.write_text(EXAMPLE_FILE)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+
+    def entry(*argv):
+        return subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from pathcomplexes.cli import main; sys.exit(main())", *argv],
+            capture_output=True, text=True, env=env, timeout=60)
+
+    proc = entry("fpoly", str(graph), "--complex", "pm")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        0, "1 + 7*x + 17*x^2 + 16*x^3 + 6*x^4 + 1*x^5\n", "")
+    proc = entry("--help")
+    assert proc.returncode == 0 and proc.stdout.startswith("usage: pathcomplexes")
+    proc = entry("fpoly")
+    assert proc.returncode == 2 and "required: file, --complex" in proc.stderr
+
+
+# -- the plain-argv fast path against argparse ---------------------------------------
+
+
+PARSER = build_parser()
+
+
+def argparse_namespace(argv):
+    """argparse's namespace for ``argv``, or None where it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return PARSER.parse_args(argv)
+        except SystemExit:
+            return None
+
+
+def assert_plain_agrees(argv):
+    fast = _parse_plain(list(argv))
+    if fast is not None:
+        assert fast == argparse_namespace(list(argv)), argv
+    return fast
+
+
+def token_variants(flag, keywords):
+    """The plain tokens of one argument, then variants of them."""
+    if not flag.startswith("-"):
+        return [["g.graph"], ["-g.graph"], ["--", "g.graph"], [""], ["a=b"]]
+    good = keywords["choices"][-1] if "choices" in keywords else "3"
+    bad = "xx" if "choices" in keywords else "x"
+    variants = [[flag, good], [f"{flag}={good}"], [flag], [flag, bad], [flag, "-1"],
+                [flag, good, flag, good], [flag, "--", good], [flag, " 7"], [flag, "+2"]]
+    if flag.startswith("--"):
+        variants.append([flag[:-2], good])
+    return variants
+
+
+def test_plain_parse_agrees_with_argparse():
+    accepted = 0
+    rng = random.Random(8)
+    for name, (_, _, arguments) in COMMANDS.items():
+        units = [token_variants(flag, kw) for flag, kw in arguments]
+        for order in itertools.permutations(range(len(units))):
+            plain = [units[i][0] for i in order]
+            argv = [name] + [t for unit in plain for t in unit]
+            assert assert_plain_agrees(argv) is not None, argv
+            accepted += 1
+            for k in range(len(order)):
+                for variant in units[order[k]][1:] + [[], ["extra"]]:
+                    mixed = plain[:k] + [variant] + plain[k + 1:]
+                    accepted += assert_plain_agrees(
+                        [name] + [t for unit in mixed for t in unit]) is not None
+            for _ in range(100):
+                mixed = [rng.choice(units[i] + [[]]) for i in order]
+                accepted += assert_plain_agrees(
+                    [name] + [t for unit in mixed for t in unit]) is not None
+            assert_plain_agrees(argv[:-1])
+            assert_plain_agrees(argv + ["extra"])
+            assert_plain_agrees(["-h"] + argv)
+    for argv in ([], ["frobnicate"], ["--help"], ["fpolyx", "g.graph", "--complex", "pm"]):
+        assert _parse_plain(argv) is None and argparse_namespace(argv) is None
+    assert accepted > 500
+
+
+def readme_usage_forms():
+    """Every argv the README's command-line block spells out, with each
+    ``a|b`` alternative taken and placeholders filled in."""
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    forms = []
+    for line in block.strip().splitlines():
+        words = line.replace("[", "").replace("]", "").split()[1:]
+        argv, expect_value = words[:1], False
+        for word in words[1:]:
+            if not (expect_value or word.startswith(("<", "-"))):
+                break  # the description column
+            argv.append(word)
+            expect_value = word.startswith("-")
+        choices = [["g.graph"] if w == "<file>" else
+                   ["3"] if w.startswith("<") or w.isupper() else w.split("|")
+                   for w in argv]
+        forms += [list(picked) for picked in itertools.product(*choices)]
+    return forms
+
+
+def test_plain_parse_takes_documented_and_benchmarked_forms(monkeypatch):
+    forms = readme_usage_forms()
+    assert {f[0] for f in forms} == set(COMMANDS) and len(forms) == 23
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    workloads = importlib.import_module("workloads")
+    forms += [[cmd, "g.graph", *opts] for plan in workloads.PLANS.values()
+              for _, commands in plan for cmd, *opts in commands]
+    for argv in forms:
+        assert assert_plain_agrees(argv) is not None, argv
 
 
 def test_deterministic_output(capsys, example_path):
