@@ -298,28 +298,12 @@ class Digraph:
     @cached_property
     def _reachable_from_s(self) -> set:
         """Vertices reachable from s (shared by every query: never mutated)."""
-        seen = {self.s}
-        stack = [self.s]
-        while stack:
-            v = stack.pop()
-            for _, w in self._out.get(v, ()):
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return seen
+        return _closure(self.s, self._out)
 
     @cached_property
     def _coreachable_to_t(self) -> set:
         """Vertices from which t is reachable (shared: never mutated)."""
-        seen = {self.t}
-        stack = [self.t]
-        while stack:
-            v = stack.pop()
-            for _, w in self._in.get(v, ()):
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return seen
+        return _closure(self.t, self._in)
 
     # -- cycles and useless edges ---------------------------------------------
 
@@ -621,3 +605,16 @@ def _max_disjoint(masks: list[int]) -> tuple[int, ...]:
             if not masks[i] & used:
                 stack.append((i + 1, used | masks[i], taken + (i,)))
     return best
+
+
+def _closure(root, adj: dict) -> set:
+    """Vertices reachable from ``root`` along ``adj`` (vertex -> tuple of
+    (edge_id, neighbour)), root included."""
+    seen = {root}
+    stack = [root]
+    while stack:
+        for _, w in adj[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen

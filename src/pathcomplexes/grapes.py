@@ -6,8 +6,8 @@ For strong grapes at least one of link/deletion must be a cone; for
 combinatorial grapes some cone must sit between them.  Recognition
 returns an explicit certificate tree that can be replayed step by step
 against the complex.  For the two complexes of a digraph the peeling can
-follow the edges out of s, walking edge-deleted and edge-contracted
-graphs instead of complexes.
+follow the edges out of s, walking the edge-deleted and edge-contracted
+graphs alongside their complexes.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from typing import Optional, Union
 
 from .digraph import Digraph
 from .errors import ResourceLimitError
-from .pathcomplex import build_pf, build_pm
 from .simplicial import SimplicialComplex
 
 GRAPE_GROUND_LIMIT = 12
@@ -167,18 +166,19 @@ def replay_certificate(cert: GrapeNode, c: SimplicialComplex) -> bool:
 # -- graph-guided certificates ------------------------------------------------------
 
 
-def source_apex_strong_certificate(g: Digraph, which: str,
+def source_apex_strong_certificate(g: Digraph, c: SimplicialComplex, which: str,
                                    limit: int = GRAPE_GROUND_LIMIT) -> Optional[GrapeNode]:
-    """Strong-grape certificate whose apex, whenever the graph offers a
-    non-useless edge out of s, is the lowest-id such edge.
+    """Strong-grape certificate of c, the ``which`` ("pm" or "pf") complex
+    of g, whose apex, whenever the graph offers a non-useless edge out of
+    s, is the lowest-id such edge.
 
-    The two children of the split correspond to the edge-deleted and
-    edge-contracted graphs, so the recursion walks graphs rather than
-    complexes.  Graphs with no such edge (s = t, or no s-t-path at all)
-    fall back to the unrestricted search.
+    The link and the deletion at an edge e out of s are the complexes of
+    the edge-deleted and edge-contracted graphs, so the recursion walks
+    those graphs alongside the complexes to choose the next apex.  Graphs
+    with no such edge (s = t, or no s-t-path at all) fall back to the
+    unrestricted search.
     """
-    _check_ground(len(g.edges), limit)
-    c = build_pm(g) if which == "pm" else build_pf(g)
+    _check_ground(len(c.ground), limit)
     if len(c.ground) <= 1:
         return BaseCase(c.ground)
     useless = g.useless_edges()
@@ -187,15 +187,16 @@ def source_apex_strong_certificate(g: Digraph, which: str,
     if not candidates:
         return is_strong_grape(c, limit)
     e = candidates[0]
-    side = find_cone_witness(c.link(e), c.deletion(e))
+    link, deletion = c.link(e), c.deletion(e)
+    side = find_cone_witness(link, deletion)
     if side is None:
         return None
     if which == "pm":
         link_graph, deletion_graph = g.delete_edge(e), g.contract_edge(e)
     else:
         link_graph, deletion_graph = g.contract_edge(e), g.delete_edge(e)
-    link_child = source_apex_strong_certificate(link_graph, which, limit)
-    deletion_child = source_apex_strong_certificate(deletion_graph, which, limit)
+    link_child = source_apex_strong_certificate(link_graph, link, which, limit)
+    deletion_child = source_apex_strong_certificate(deletion_graph, deletion, which, limit)
     if link_child is None or deletion_child is None:
         return None
     return Split(e, link_child, deletion_child, side)

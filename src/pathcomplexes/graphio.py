@@ -1,7 +1,9 @@
 """Line-oriented text format for graphs.
 
-Grammar, one directive per line (blank lines and ``# ...`` comments are
-skipped; ids are arbitrary non-whitespace tokens; declare before use):
+Grammar, one directive per line; ids are arbitrary non-whitespace tokens,
+declared before use.  Blank lines are skipped, and so are comments: a
+comment is a whole line whose first non-blank character is ``#`` (a ``#``
+after a directive is an argument, not a comment).
 
     vertex <id>
     s <id>
@@ -26,8 +28,7 @@ def parse_graph(text: str) -> Digraph:
     edges: list[tuple[str, str]] = []
     labels: list[str] = []
     label_seen: set[str] = set()
-    s = None
-    t = None
+    ends = {"s": None, "t": None}
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -42,22 +43,14 @@ def parse_graph(text: str) -> Digraph:
                 raise GraphParseError(f"duplicate vertex {args[0]!r}", line_no)
             declared.add(args[0])
             vertices.append(args[0])
-        elif directive == "s":
+        elif directive in ends:
             if len(args) != 1:
-                raise GraphParseError("s takes exactly one vertex id", line_no)
-            if s is not None:
-                raise GraphParseError("s declared twice", line_no)
+                raise GraphParseError(f"{directive} takes exactly one vertex id", line_no)
+            if ends[directive] is not None:
+                raise GraphParseError(f"{directive} declared twice", line_no)
             if args[0] not in declared:
                 raise GraphParseError(f"undeclared vertex {args[0]!r}", line_no)
-            s = args[0]
-        elif directive == "t":
-            if len(args) != 1:
-                raise GraphParseError("t takes exactly one vertex id", line_no)
-            if t is not None:
-                raise GraphParseError("t declared twice", line_no)
-            if args[0] not in declared:
-                raise GraphParseError(f"undeclared vertex {args[0]!r}", line_no)
-            t = args[0]
+            ends[directive] = args[0]
         elif directive == "edge":
             if len(args) != 3:
                 raise GraphParseError("edge takes <edge-id> <src> <dst>", line_no)
@@ -74,11 +67,10 @@ def parse_graph(text: str) -> Digraph:
         else:
             raise GraphParseError(f"unknown directive {directive!r}", line_no)
 
-    if s is None:
-        raise GraphParseError("missing s line")
-    if t is None:
-        raise GraphParseError("missing t line")
-    return Digraph.build(vertices, edges, s, t, labels)
+    for end, vertex in ends.items():
+        if vertex is None:
+            raise GraphParseError(f"missing {end} line")
+    return Digraph.build(vertices, edges, ends["s"], ends["t"], labels)
 
 
 def format_graph(g: Digraph) -> str:

@@ -124,23 +124,10 @@ class IntPolynomial:
 
 
 def poly_divisibility(p: IntPolynomial, k: int) -> tuple[bool, IntPolynomial]:
-    """Decide whether (1+x)^k divides p exactly over the integers.
-
-    The divisibility verdict comes from k successive exact divisions by
-    (1+x); the returned remainder is the one left by division by the full
-    power (1+x)^k, so a failed verdict still reports what is left over.
-    """
+    """Decide whether (1+x)^k divides p exactly over the integers, and
+    return the remainder of the division by (1+x)^k, so a failed verdict
+    still reports what is left over."""
     if k < 0:
         raise ValueError("power must be nonnegative")
-    one_plus_x = IntPolynomial((1, 1))
-    q = p
-    divisible = True
-    for _ in range(k):
-        q, r = q.divmod_monic(one_plus_x)
-        if not r.is_zero():
-            divisible = False
-            break
-    if divisible:
-        return True, IntPolynomial()
     _, remainder = p.divmod_monic(IntPolynomial.one_plus_x_power(k))
-    return False, remainder
+    return remainder.is_zero(), remainder

@@ -62,8 +62,8 @@ class SimplicialComplex:
     faces: frozenset[int]
 
     @classmethod
-    def from_faces(cls, ground: Iterable[int], faces: Iterable[Iterable[int]],
-                   validate: bool = True) -> "SimplicialComplex":
+    def from_faces(cls, ground: Iterable[int],
+                   faces: Iterable[Iterable[int]]) -> "SimplicialComplex":
         g = tuple(ground)
         index = {x: 1 << i for i, x in enumerate(g)}
         masks = set()
@@ -73,8 +73,7 @@ class SimplicialComplex:
                 raise ValueError(f"face {sorted(f)} leaves the ground set")
             masks.add(sum(index[x] for x in f))
         c = cls(g, frozenset(masks))
-        if validate:
-            c.validate()
+        c.validate()
         return c
 
     def validate(self):

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import importlib
 import io
 import itertools
@@ -79,6 +80,13 @@ def test_parse_errors_carry_line_numbers():
         parse_graph("vertex s\ns s\ns s\nt s\n")  # s twice
     with pytest.raises(GraphParseError):
         parse_graph("vertex s\ns s\nt s\nedge e s s\nedge e s s\n")  # dup edge id
+
+
+def test_comment_is_a_whole_line():
+    assert parse_graph("  # leading blanks\nvertex s\n#\ns s\nt s\n").vertices == ("s",)
+    with pytest.raises(GraphParseError) as err:
+        parse_graph("vertex s  # source\ns s\nt s\n")
+    assert str(err.value) == "line 1: vertex takes exactly one id"
 
 
 def test_round_trip():
@@ -193,6 +201,19 @@ def test_rgen_output(capsys, tmp_path):
     assert code == 0 and out == "chi: 2\nfacets: 3\n"
 
 
+@pytest.mark.parametrize("argv, digest", [
+    ((), "dbde750de1c9c52ee9955f49ff71943e68ba1c689e2dd9e07ad0df7c722b75a0"),
+    (("--count", "40", "--max-edges", "14", "--seed", "3"),
+     "0265f4a1495cf3e019462cd1924fecf7072d041a9db6df94b91ff91687866dc9"),
+], ids=["default", "count-40-max-edges-14-seed-3"])
+def test_verify_stdout_is_pinned(capsys, argv, digest):
+    # Every per-check status line is pinned, so a pass that turns into a
+    # skip shows here even though the run still reports fail=0.
+    code, out, _ = run(capsys, "verify", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_verify_subcommand(capsys):
     code, out, err = run(capsys, "verify", "--count", "3", "--seed", "1",
                          "--max-edges", "6")
@@ -224,10 +245,14 @@ def test_missing_file_exits_2(capsys):
     assert code == 2 and "error:" in err
 
 
-def test_resource_guard_exits_3(capsys, tmp_path):
+def test_resource_guard_exits_3(capsys, monkeypatch, tmp_path):
+    def build(*_):
+        raise AssertionError("complex built above the grape search limit")
+    monkeypatch.setattr(cli, "build_pm", build)
     path = write_graph(tmp_path, parallel_graph(13))
     code, _, err = run(capsys, "grape", path, "--complex", "pm")
-    assert code == 3 and "resource limit" in err
+    assert code == 3
+    assert err == "resource limit: ground size 13 exceeds the grape search limit of 12\n"
 
 
 # -- long and large graphs, at the default recursion limit -------------------------

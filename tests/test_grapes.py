@@ -11,8 +11,9 @@ from pathcomplexes.grapes import (BaseCase, ConeWitness, SandwichWitness,
 from pathcomplexes.pathcomplex import build_pf, build_pm
 from pathcomplexes.simplicial import (SimplicialComplex, empty_complex,
                                       full_simplex, irrelevant_complex)
-from pathcomplexes.verify import (double_cycle_graph, example_graph,
-                                  fixture_battery, parallel_graph)
+from pathcomplexes.verify import (CorpusSpec, double_cycle_graph,
+                                  example_graph, fixture_battery,
+                                  generate_corpus, parallel_graph)
 
 
 def projective_plane():
@@ -103,12 +104,15 @@ def test_ground_limit_guard():
         is_strong_grape(irrelevant_complex(range(13)))
     with pytest.raises(ResourceLimitError):
         is_combinatorial_grape(irrelevant_complex(range(13)))
+    g = parallel_graph(13)
+    with pytest.raises(ResourceLimitError):
+        source_apex_strong_certificate(g, irrelevant_complex(g.edge_ids), "pm")
 
 
 def test_source_apex_restricted_search_succeeds():
     for g in (example_graph(), double_cycle_graph()):
         for which, c in (("pm", build_pm(g)), ("pf", build_pf(g))):
-            cert = source_apex_strong_certificate(g, which)
+            cert = source_apex_strong_certificate(g, c, which)
             assert cert is not None and replay_certificate(cert, c)
             # The top-level apex is the promised non-useless source edge.
             useless = g.useless_edges()
@@ -117,9 +121,26 @@ def test_source_apex_restricted_search_succeeds():
             assert isinstance(cert, Split) and cert.apex == wanted
 
 
-def test_source_apex_guard_precedes_the_build(monkeypatch):
-    def build(*_):
-        raise AssertionError("complex built above the grape search limit")
-    monkeypatch.setattr(grapes, "build_pm", build)
-    with pytest.raises(ResourceLimitError):
-        source_apex_strong_certificate(parallel_graph(13), "pm")
+def test_source_apex_walk_hands_down_the_minor_complexes(monkeypatch):
+    # Each node of the walk takes the link or the deletion of its parent as
+    # the complex of its graph, which is G minus e or G/e; enumerate that
+    # minor's complex independently at every node and compare.
+    walk = grapes.source_apex_strong_certificate
+    nodes = 0
+
+    def checked(g, c, which, limit=grapes.GRAPE_GROUND_LIMIT):
+        nonlocal nodes
+        nodes += 1
+        assert c == (build_pm(g) if which == "pm" else build_pf(g))
+        return walk(g, c, which, limit)
+
+    monkeypatch.setattr(grapes, "source_apex_strong_certificate", checked)
+    # The corpus of acceptance criterion 7: at most 8 edges per graph, all
+    # within the grape search limit.
+    corpus = generate_corpus(CorpusSpec(graph_count=500, seed=1))
+    for g in corpus:
+        for which, build in (("pm", build_pm), ("pf", build_pf)):
+            c = build(g)
+            cert = checked(g, c, which)
+            assert cert is not None and replay_certificate(cert, c)
+    assert nodes > 2 * len(corpus)  # the walk went below its roots

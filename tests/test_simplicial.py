@@ -25,12 +25,9 @@ def test_from_faces_validates():
         complex_of((), {3}, ground=(1, 2))  # face outside ground
     with pytest.raises(ValueError):
         complex_of((), {2}, {7}, ground=(5, 2, 9))  # outside an unsorted ground
-    with pytest.raises(ValueError):
-        SimplicialComplex.from_faces((5, 2, 9), [frozenset({4})], validate=False)
-    c = SimplicialComplex.from_faces((1, 2), [frozenset({1, 2})], validate=False)
-    assert not c.is_downward_closed()
-    c = SimplicialComplex.from_faces((5, 2, 9), [frozenset({5, 9})], validate=False)
-    assert not c.is_downward_closed()
+    assert not SimplicialComplex((1, 2), frozenset({0b11})).is_downward_closed()
+    # {5, 9} on the ground (5, 2, 9) is bits 0 and 2.
+    assert not SimplicialComplex((5, 2, 9), frozenset({0b101})).is_downward_closed()
 
 
 def test_empty_and_irrelevant_are_distinct():

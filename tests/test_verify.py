@@ -42,21 +42,6 @@ def test_random_corpus_reaches_multigraphs():
     assert multigraphs
 
 
-def test_corpus_respects_loop_and_parallel_switches():
-    spec = CorpusSpec(graph_count=150, seed=3,
-                      allow_self_loops=False, allow_parallel=False)
-    for g in generate_corpus(spec)[len(fixture_battery()):]:
-        pairs = [(u, v) for _, u, v in g.edges]
-        assert all(u != v for u, v in pairs)
-        assert len(set(pairs)) == len(pairs)
-
-
-def test_corpus_edge_weights():
-    spec = CorpusSpec(graph_count=30, seed=5, edge_weights=(1,))
-    for g in generate_corpus(spec)[len(fixture_battery()):]:
-        assert g.edges == ()
-
-
 def test_corpus_spec_validation():
     import pytest
     with pytest.raises(ValueError):
