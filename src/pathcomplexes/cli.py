@@ -16,9 +16,8 @@ from pathlib import Path
 from .digraph import Digraph
 from .errors import GraphParseError, ResourceLimitError
 from .graphio import format_graph, parse_graph
-from .grapes import (GRAPE_GROUND_LIMIT, BaseCase, ConeWitness, GrapeNode,
-                     SandwichWitness, _check_ground, is_combinatorial_grape,
-                     is_strong_grape)
+from .grapes import (BaseCase, ConeWitness, GrapeNode, SandwichWitness,
+                     _check_ground, is_combinatorial_grape, is_strong_grape)
 from .pathcomplex import (build_pf, build_pf_r, build_pm, build_pm_r,
                           check_divisibility, chi_pf_closed, chi_pm_closed,
                           fpoly_pf_dc, fpoly_pm_dc, homotopy_pf, homotopy_pm)
@@ -139,7 +138,7 @@ def _format_certificate(node: GrapeNode, labels: dict[int, str],
 
 def _cmd_grape(args) -> int:
     g = _load_graph(args.file)
-    _check_ground(len(g.edges), GRAPE_GROUND_LIMIT)  # before the 2^|E| build
+    _check_ground(len(g.edges))  # before the 2^|E| build
     recognize = is_strong_grape if args.mode == "strong" else is_combinatorial_grape
     cert = recognize(_build(g, args.complex))
     if cert is None:

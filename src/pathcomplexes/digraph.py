@@ -22,8 +22,8 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
-from typing import Hashable, Optional, Sequence
+from itertools import chain, islice
+from typing import Hashable, Iterator, Optional, Sequence
 
 from .errors import ResourceLimitError
 
@@ -46,9 +46,6 @@ class Walk:
 
     def edge_set(self) -> frozenset[int]:
         return frozenset(self.edges)
-
-    def is_closed(self) -> bool:
-        return len(self.vertices) >= 1 and self.vertices[0] == self.vertices[-1]
 
 
 @dataclass(frozen=True)
@@ -442,8 +439,8 @@ class Digraph:
                         low[frames[-1][0]] = low[v]
         return low
 
-    def _simple_cycle_edge_sets(self) -> list[frozenset[int]]:
-        """Edge sets of all simple cycles, each listed once.
+    def _simple_cycle_edge_sets(self) -> Iterator[frozenset[int]]:
+        """Yield the edge set of every simple cycle, each once.
 
         A cycle is rooted at its earliest vertex (declaration order) and the
         search never dips below that root, so each cycle is emitted once,
@@ -451,12 +448,12 @@ class Digraph:
         of the root's strongly connected component, after the root, that
         reach the root through such vertices, found by one backward scan.
         It enters no vertex from which the root is out of reach, and a
-        root with an empty ``back`` closes only its self-loops.
+        root with an empty ``back`` closes only its self-loops.  Cycles
+        come as the search finds them, so a caller can stop early.
         """
         vindex = {v: i for i, v in enumerate(self.vertices)}
         out, inc = self._out, self._in
         comp = self._strong_components
-        found: list[frozenset[int]] = []
         for start in self.vertices:
             base, label = vindex[start], comp[start]
             back: set = set()
@@ -467,17 +464,20 @@ class Digraph:
                         back.add(u)
                         scan.append(u)
             if back:
-                found.extend(w.edge_set() for w in self._simple_walks(start, start, back))
+                for w in self._simple_walks(start, start, back):
+                    yield w.edge_set()
             else:
-                found.extend(frozenset((eid,)) for eid, w in out[start] if w == start)
-        return found
+                yield from (frozenset((eid,)) for eid, w in out[start] if w == start)
 
     def quasi_cycles(self) -> list[QuasiCycle]:
         """Cycle edge sets plus singletons of useless edges, deduplicated.
 
         A self-loop is both; it is reported once, as a cycle.
         """
-        cycle_sets = self._simple_cycle_edge_sets()
+        return self._quasi_cycles(list(self._simple_cycle_edge_sets()))
+
+    def _quasi_cycles(self, cycle_sets: list[frozenset[int]]) -> list[QuasiCycle]:
+        """``quasi_cycles`` from the list of every cycle edge set."""
         taken = set(cycle_sets)
         result = [QuasiCycle(es, "cycle") for es in cycle_sets]
         for eid in sorted(self.useless_edges()):
@@ -487,23 +487,28 @@ class Digraph:
         result.sort(key=lambda qc: (len(qc.edges), sorted(qc.edges)))
         return result
 
-    def max_disjoint_quasi_cycles(self, limit: int = QUASI_CYCLE_PACKING_LIMIT
-                                  ) -> tuple[int, tuple[QuasiCycle, ...]]:
+    def max_disjoint_quasi_cycles(self) -> tuple[int, tuple[QuasiCycle, ...]]:
         """Exact maximum packing of pairwise edge-disjoint quasi-cycles.
 
-        Refuses to run when ``quasi_cycles()`` has more than ``limit``
-        entries.  Two exact reductions come first.  A quasi-cycle that
-        strictly contains another is dropped, since the smaller one can
-        take its place in any packing.  The rest split into components of
-        the conflict relation (two quasi-cycles conflict when they share
-        an edge), and each component is packed on its own by an iterative
-        branch and bound over edge masks.  The packing number is the sum
-        over the components; the witness is the union of theirs.
+        Refuses to run when ``quasi_cycles()`` has more than
+        ``QUASI_CYCLE_PACKING_LIMIT`` entries.  The cycle search stops at
+        the first cycle past the limit, before the useless edges are
+        counted, so a refusal lists no more cycles than that.  Two exact
+        reductions come first.  A quasi-cycle that strictly contains
+        another is dropped, since the smaller one can take its place in
+        any packing.  The rest split into components of the conflict
+        relation (two quasi-cycles conflict when they share an edge), and
+        each component is packed on its own by an iterative branch and
+        bound over edge masks.  The packing number is the sum over the
+        components; the witness is the union of theirs.
         """
-        qcs = self.quasi_cycles()
-        if len(qcs) > limit:
-            raise ResourceLimitError(
-                f"{len(qcs)} quasi-cycles exceed the packing limit of {limit}")
+        most = QUASI_CYCLE_PACKING_LIMIT
+        cycle_sets = list(islice(self._simple_cycle_edge_sets(), most + 1))
+        if len(cycle_sets) > most:
+            raise ResourceLimitError(f"more than {most} cycles exceed the packing limit of {most}")
+        qcs = self._quasi_cycles(cycle_sets)
+        if len(qcs) > most:
+            raise ResourceLimitError(f"{len(qcs)} quasi-cycles exceed the packing limit of {most}")
         bits = self.edge_bits
         masks = [sum(bits[e] for e in qc.edges) for qc in qcs]
         # ``qcs`` is sorted by size, so a strict subset comes earlier.

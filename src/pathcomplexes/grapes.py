@@ -63,10 +63,10 @@ GrapeNode = Union[BaseCase, Split]
 GrapeCertificate = GrapeNode
 
 
-def _check_ground(n: int, limit: int):
-    if n > limit:
+def _check_ground(n: int):
+    if n > GRAPE_GROUND_LIMIT:
         raise ResourceLimitError(
-            f"ground size {n} exceeds the grape search limit of {limit}")
+            f"ground size {n} exceeds the grape search limit of {GRAPE_GROUND_LIMIT}")
 
 
 def find_cone_witness(link: SimplicialComplex,
@@ -116,21 +116,19 @@ def _search(c: SimplicialComplex, side_test, memo) -> Optional[GrapeNode]:
     return node
 
 
-def is_strong_grape(c: SimplicialComplex,
-                    limit: int = GRAPE_GROUND_LIMIT) -> Optional[GrapeCertificate]:
+def is_strong_grape(c: SimplicialComplex) -> Optional[GrapeCertificate]:
     """Certificate that c is a strong grape, or None after exhaustive search.
 
     Apexes are tried in ground order; results are memoized on the
     (ground, faces) pair for the duration of one call.
     """
-    _check_ground(len(c.ground), limit)
+    _check_ground(len(c.ground))
     return _search(c, find_cone_witness, {})
 
 
-def is_combinatorial_grape(c: SimplicialComplex,
-                           limit: int = GRAPE_GROUND_LIMIT) -> Optional[GrapeCertificate]:
+def is_combinatorial_grape(c: SimplicialComplex) -> Optional[GrapeCertificate]:
     """Certificate that c is a combinatorial grape, or None."""
-    _check_ground(len(c.ground), limit)
+    _check_ground(len(c.ground))
     return _search(c, _sandwich_witness, {})
 
 
@@ -166,8 +164,8 @@ def replay_certificate(cert: GrapeNode, c: SimplicialComplex) -> bool:
 # -- graph-guided certificates ------------------------------------------------------
 
 
-def source_apex_strong_certificate(g: Digraph, c: SimplicialComplex, which: str,
-                                   limit: int = GRAPE_GROUND_LIMIT) -> Optional[GrapeNode]:
+def source_apex_strong_certificate(g: Digraph, c: SimplicialComplex,
+                                   which: str) -> Optional[GrapeNode]:
     """Strong-grape certificate of c, the ``which`` ("pm" or "pf") complex
     of g, whose apex, whenever the graph offers a non-useless edge out of
     s, is the lowest-id such edge.
@@ -178,14 +176,14 @@ def source_apex_strong_certificate(g: Digraph, c: SimplicialComplex, which: str,
     with no such edge (s = t, or no s-t-path at all) fall back to the
     unrestricted search.
     """
-    _check_ground(len(c.ground), limit)
+    _check_ground(len(c.ground))
     if len(c.ground) <= 1:
         return BaseCase(c.ground)
     useless = g.useless_edges()
     candidates = [eid for eid, u, _ in sorted(g.edges)
                   if u == g.s and eid not in useless]
     if not candidates:
-        return is_strong_grape(c, limit)
+        return is_strong_grape(c)
     e = candidates[0]
     link, deletion = c.link(e), c.deletion(e)
     side = find_cone_witness(link, deletion)
@@ -195,8 +193,8 @@ def source_apex_strong_certificate(g: Digraph, c: SimplicialComplex, which: str,
         link_graph, deletion_graph = g.delete_edge(e), g.contract_edge(e)
     else:
         link_graph, deletion_graph = g.contract_edge(e), g.delete_edge(e)
-    link_child = source_apex_strong_certificate(link_graph, link, which, limit)
-    deletion_child = source_apex_strong_certificate(deletion_graph, deletion, which, limit)
+    link_child = source_apex_strong_certificate(link_graph, link, which)
+    deletion_child = source_apex_strong_certificate(deletion_graph, deletion, which)
     if link_child is None or deletion_child is None:
         return None
     return Split(e, link_child, deletion_child, side)

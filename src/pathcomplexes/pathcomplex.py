@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Callable, Optional
 
-from .digraph import Digraph, QUASI_CYCLE_PACKING_LIMIT
+from .digraph import Digraph
 from .errors import ResourceLimitError
 from .polynomial import IntPolynomial, poly_divisibility
 from .simplicial import SimplicialComplex
@@ -299,12 +299,11 @@ def homotopy_pf(g: Digraph) -> HomotopyClass:
 # -- divisibility ---------------------------------------------------------------------
 
 
-def check_divisibility(g: Digraph,
-                       packing_limit: int = QUASI_CYCLE_PACKING_LIMIT) -> DivisibilityReport:
+def check_divisibility(g: Digraph) -> DivisibilityReport:
     """Check that (1+x)^kappa divides both f-polynomials, kappa the exact
     disjoint quasi-cycle packing number, and report remainders modulo
     (1+x)^(kappa+1)."""
-    kappa, _ = g.max_disjoint_quasi_cycles(packing_limit)
+    kappa, _ = g.max_disjoint_quasi_cycles()
     f_pm = fpoly_pm_dc(g)
     f_pf = _dual_fpoly(f_pm, len(g.edges))
     pm_ok, _ = poly_divisibility(f_pm, kappa)

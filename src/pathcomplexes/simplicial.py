@@ -36,10 +36,10 @@ class BettiVector:
         return sum(b if d % 2 == 0 else -b for d, b in self.entries)
 
 
-def _check_enumeration(n_ground: int, limit: int):
-    if 2 ** n_ground > limit:
-        raise ResourceLimitError(
-            f"2^{n_ground} subsets exceed the enumeration limit of {limit}")
+def _check_enumeration(n_ground: int):
+    if 2 ** n_ground > FACE_ENUMERATION_LIMIT:
+        raise ResourceLimitError(f"2^{n_ground} subsets exceed the enumeration "
+                                 f"limit of {FACE_ENUMERATION_LIMIT}")
 
 
 def _squeeze(m: int, i: int) -> int:
@@ -144,14 +144,11 @@ class SimplicialComplex:
         b = self.bit(w)
         return all(f | b in self.faces for f in self.faces)
 
-    def is_cone(self) -> bool:
-        return any(self.is_cone_with_apex(w) for w in self.ground)
-
     # -- global operations -------------------------------------------------------
 
-    def alexander_dual(self, limit: int = FACE_ENUMERATION_LIMIT) -> "SimplicialComplex":
+    def alexander_dual(self) -> "SimplicialComplex":
         """Complements of non-faces: {F : ground \\ F not a face}."""
-        _check_enumeration(len(self.ground), limit)
+        _check_enumeration(len(self.ground))
         full = (1 << len(self.ground)) - 1
         return SimplicialComplex(self.ground, frozenset(
             full ^ m for m in range(full + 1) if m not in self.faces))
@@ -174,13 +171,13 @@ class SimplicialComplex:
         faces = {a | u for a in self.faces for u in (0, y, z)}
         return SimplicialComplex(self.ground + (fresh, fresh + 1), frozenset(faces))
 
-    def minimal_nonfaces(self, limit: int = FACE_ENUMERATION_LIMIT) -> list[Face]:
+    def minimal_nonfaces(self) -> list[Face]:
         """Inclusion-minimal subsets of the ground set that are not faces.
 
         A non-face all of whose one-smaller subsets are faces is minimal,
         and downward closure makes the converse hold too.
         """
-        _check_enumeration(len(self.ground), limit)
+        _check_enumeration(len(self.ground))
         faces, singles = self.faces, self._singles()
         out = [self._decode(m) for m in range(1 << len(self.ground))
                if m not in faces and all(m ^ b in faces for b in singles if m & b)]
@@ -194,16 +191,16 @@ class SimplicialComplex:
 
     # -- homology ------------------------------------------------------------------
 
-    def gf2_reduced_betti(self, limit: int = FACE_ENUMERATION_LIMIT) -> BettiVector:
+    def gf2_reduced_betti(self) -> BettiVector:
         """Reduced Betti numbers over GF(2) from boundary-matrix ranks.
 
         The chain complex is augmented: the empty face spans degree -1, so
         the irrelevant complex {∅} has betti(-1) = 1 while the complex with
         no faces has every Betti number zero.
         """
-        if len(self.faces) > limit:
-            raise ResourceLimitError(
-                f"{len(self.faces)} faces exceed the homology limit of {limit}")
+        if len(self.faces) > FACE_ENUMERATION_LIMIT:
+            raise ResourceLimitError(f"{len(self.faces)} faces exceed the homology "
+                                     f"limit of {FACE_ENUMERATION_LIMIT}")
         singles = self._singles()
         by_size: dict[int, list[int]] = {}
         for f in self.faces:

@@ -22,11 +22,11 @@ from functools import cached_property
 from math import comb
 from typing import Callable
 
-from .digraph import Digraph, QUASI_CYCLE_PACKING_LIMIT
+from .digraph import Digraph
 from .errors import ResourceLimitError
 from .graphio import format_graph
-from .grapes import (GRAPE_GROUND_LIMIT, is_combinatorial_grape, is_strong_grape,
-                     replay_certificate, source_apex_strong_certificate)
+from .grapes import (is_combinatorial_grape, is_strong_grape, replay_certificate,
+                     source_apex_strong_certificate)
 from .pathcomplex import (build_pf, build_pf_r, build_pm, build_pm_r,
                           check_divisibility, chi_pf_closed, chi_pm_closed,
                           fpoly_pf_dc, fpoly_pm_dc, homotopy_pf, homotopy_pm)
@@ -167,24 +167,21 @@ def generate_corpus(spec: CorpusSpec) -> list[Digraph]:
 class _Ctx:
     """Lazily computed artifacts shared by the checks on one graph.
 
-    The two complexes build under ``enum_limit``: above it reading one
-    raises ``ResourceLimitError``, which skips the check that read it.
+    The two complexes build under ``DEFAULT_ENUM_LIMIT`` edges: above it
+    reading one raises ``ResourceLimitError``, which skips the check that
+    read it.
     """
 
-    def __init__(self, g: Digraph, enum_limit: int, grape_limit: int,
-                 packing_limit: int):
+    def __init__(self, g: Digraph):
         self.g = g
-        self.enum_limit = enum_limit
-        self.grape_limit = grape_limit
-        self.packing_limit = packing_limit
 
     @cached_property
     def pm(self) -> SimplicialComplex:
-        return build_pm(self.g, self.enum_limit)
+        return build_pm(self.g, DEFAULT_ENUM_LIMIT)
 
     @cached_property
     def pf(self) -> SimplicialComplex:
-        return build_pf(self.g, self.enum_limit)
+        return build_pf(self.g, DEFAULT_ENUM_LIMIT)
 
     @cached_property
     def paths(self):
@@ -453,7 +450,7 @@ def _chk_parity(ctx: _Ctx):
 @_check("fpoly-quasicycle-divisibility")
 def _chk_divisibility(ctx: _Ctx):
     try:
-        report = check_divisibility(ctx.g, ctx.packing_limit)
+        report = check_divisibility(ctx.g)
     except ResourceLimitError as exc:
         return ("skip", str(exc))
     if not (report.pm_ok and report.pf_ok):
@@ -491,7 +488,7 @@ def _chk_homology(ctx: _Ctx):
 @_check("strong-grape-certificates")
 def _chk_strong_grape(ctx: _Ctx):
     for name, c in ctx.both():
-        cert = is_strong_grape(c, ctx.grape_limit)
+        cert = is_strong_grape(c)
         if cert is None:
             return _fail(f"{name} is not recognized as a strong grape")
         if not replay_certificate(cert, c):
@@ -502,7 +499,7 @@ def _chk_strong_grape(ctx: _Ctx):
 @_check("strong-implies-combinatorial")
 def _chk_comb_grape(ctx: _Ctx):
     for name, c in ctx.both():
-        cert = is_combinatorial_grape(c, ctx.grape_limit)
+        cert = is_combinatorial_grape(c)
         if cert is None:
             return _fail(f"{name} is not recognized as a combinatorial grape")
         if not replay_certificate(cert, c):
@@ -513,7 +510,7 @@ def _chk_comb_grape(ctx: _Ctx):
 @_check("grape-apex-source-restriction")
 def _chk_grape_apex(ctx: _Ctx):
     for which, c in ctx.both():
-        cert = source_apex_strong_certificate(ctx.g, c, which, ctx.grape_limit)
+        cert = source_apex_strong_certificate(ctx.g, c, which)
         if cert is None:
             return _fail(f"{which}: no certificate through source-s apexes")
         if not replay_certificate(cert, c):
@@ -540,8 +537,8 @@ def _chk_rgen(ctx: _Ctx):
     if g.s == g.t or k == 0 or any((u, v) != (g.s, g.t) for _, u, v in g.edges):
         return _SKIP
     for r in range(1, k + 1):
-        chi_pf = build_pf_r(g, r, ctx.enum_limit).reduced_euler_characteristic()
-        chi_pm = build_pm_r(g, r, ctx.enum_limit).reduced_euler_characteristic()
+        chi_pf = build_pf_r(g, r, DEFAULT_ENUM_LIMIT).reduced_euler_characteristic()
+        chi_pm = build_pm_r(g, r, DEFAULT_ENUM_LIMIT).reduced_euler_characteristic()
         if chi_pf != (-1) ** r * comb(k - 1, r - 1):
             return _fail(f"path-free r={r} Euler characteristic {chi_pf}")
         if chi_pm != (-1) ** (k + r - 1) * comb(k - 1, r - 1):
@@ -641,16 +638,14 @@ class VerificationReport:
         return blocks
 
 
-def run_all_checks(g: Digraph, enum_limit: int = DEFAULT_ENUM_LIMIT,
-                   grape_limit: int = GRAPE_GROUND_LIMIT,
-                   packing_limit: int = QUASI_CYCLE_PACKING_LIMIT) -> list[CheckOutcome]:
+def run_all_checks(g: Digraph) -> list[CheckOutcome]:
     """Execute the full registry against one graph.
 
     Check failures are outcomes, not exceptions; a resource guard firing
     inside a check demotes it to a skip with the guard's message.
     """
     _assert_registry_complete()
-    ctx = _Ctx(g, enum_limit, grape_limit, packing_limit)
+    ctx = _Ctx(g)
     outcomes = []
     for check_id, fn in _REGISTRY:
         try:
@@ -663,11 +658,8 @@ def run_all_checks(g: Digraph, enum_limit: int = DEFAULT_ENUM_LIMIT,
     return outcomes
 
 
-def verify_corpus(spec: CorpusSpec, enum_limit: int = DEFAULT_ENUM_LIMIT,
-                  grape_limit: int = GRAPE_GROUND_LIMIT,
-                  packing_limit: int = QUASI_CYCLE_PACKING_LIMIT) -> VerificationReport:
+def verify_corpus(spec: CorpusSpec) -> VerificationReport:
     report = VerificationReport()
     for index, g in enumerate(generate_corpus(spec)):
-        outcomes = run_all_checks(g, enum_limit, grape_limit, packing_limit)
-        report.graphs.append(GraphVerification(index, g, outcomes))
+        report.graphs.append(GraphVerification(index, g, run_all_checks(g)))
     return report

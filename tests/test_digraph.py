@@ -5,7 +5,7 @@ from itertools import combinations, product
 
 import pytest
 
-from pathcomplexes.digraph import Digraph, Walk
+from pathcomplexes.digraph import QUASI_CYCLE_PACKING_LIMIT, Digraph, Walk
 from pathcomplexes.errors import ResourceLimitError
 from pathcomplexes.verify import (CorpusSpec, double_cycle_graph,
                                   edgeless_graph, example_graph,
@@ -156,7 +156,7 @@ def test_self_loop_is_useless():
 
 def test_find_cycle_on_example():
     cycle = example_graph().find_cycle()
-    assert cycle is not None and cycle.is_closed()
+    assert cycle is not None and cycle.vertices[0] == cycle.vertices[-1]
     assert edge_names(example_graph(), cycle.edge_set()) == ["b", "f", "g"]
 
 
@@ -196,7 +196,7 @@ def test_cycles_match_networkx():
         want = [frozenset(es) for cyc in nx.simple_cycles(simple)
                 for es in product(*(parallel[u, v]
                                     for u, v in zip(cyc, cyc[1:] + cyc[:1])))]
-        got = g._simple_cycle_edge_sets()
+        got = list(g._simple_cycle_edge_sets())
         assert len(got) == len(want) and set(got) == set(want)
         cycle = g.find_cycle()
         assert (cycle is None) == nx.is_directed_acyclic_graph(simple)
@@ -269,8 +269,15 @@ def test_packing_zero_on_clean_dag():
 
 
 def test_packing_guard():
-    with pytest.raises(ResourceLimitError):
-        example_graph().max_disjoint_quasi_cycles(limit=0)
+    # Self-loops at s: each is a cycle and a useless edge, counted once.
+    def loops(k):
+        return Digraph.build(["s", "t"], [("s", "t")] + [("s", "s")] * k, "s", "t")
+
+    assert len(loops(64).quasi_cycles()) == QUASI_CYCLE_PACKING_LIMIT == 64
+    assert loops(64).max_disjoint_quasi_cycles()[0] == 64
+    with pytest.raises(ResourceLimitError,
+                       match="^more than 64 cycles exceed the packing limit of 64$"):
+        loops(65).max_disjoint_quasi_cycles()
 
 
 def cycle_ladder(rungs: int) -> Digraph:
@@ -282,14 +289,46 @@ def cycle_ladder(rungs: int) -> Digraph:
 
 
 def test_packing_guard_counts_quasi_cycles_before_reductions():
-    # 12 rung cycles and 12 useless backward edges; the reductions leave
-    # 12 singletons, but the guard still counts all 24.
-    g = cycle_ladder(12)
-    qcs = g.quasi_cycles()
-    assert len(qcs) == 24
-    with pytest.raises(ResourceLimitError):
-        g.max_disjoint_quasi_cycles(limit=len(qcs) - 1)
-    assert g.max_disjoint_quasi_cycles(limit=len(qcs))[0] == 12
+    # 32 rung cycles and 32 useless backward edges; the reductions leave
+    # 32 singletons, but the guard counts all 64.  One more useless edge,
+    # into s from a vertex s does not reach, makes 65: refused.
+    g = cycle_ladder(32)
+    assert len(g.quasi_cycles()) == 64
+    assert g.max_disjoint_quasi_cycles()[0] == 32
+    g = Digraph(g.vertices + ("x",), g.edges + ((64, "x", "c0"),), g.s, g.t)
+    assert len(g.quasi_cycles()) == 65
+    with pytest.raises(ResourceLimitError,
+                       match="^65 quasi-cycles exceed the packing limit of 64$"):
+        g.max_disjoint_quasi_cycles()
+
+
+def bidirected_grid(n: int) -> Digraph:
+    """An n x n grid with both directions of every edge, corner to corner:
+    one strongly connected component with exponentially many cycles."""
+    name = lambda i, j: f"g{i}_{j}"
+    pairs = [(name(i, j), name(i + di, j + dj)) for i in range(n) for j in range(n)
+             for di, dj in ((0, 1), (1, 0)) if i + di < n and j + dj < n]
+    edges = [e for u, v in pairs for e in ((u, v), (v, u))]
+    vertices = [name(i, j) for i in range(n) for j in range(n)]
+    return Digraph.build(vertices, edges, name(0, 0), name(n - 1, n - 1))
+
+
+def test_packing_guard_stops_at_the_first_cycle_past_the_limit(monkeypatch):
+    # The bidirected 5x5 grid has 18,738 simple cycles; the guard must trip
+    # after listing 65 of them, not after listing all.
+    walks = Digraph._simple_walks
+    yielded = 0
+
+    def counted(self, *args):
+        nonlocal yielded
+        for walk in walks(self, *args):
+            yielded += 1
+            yield walk
+
+    monkeypatch.setattr(Digraph, "_simple_walks", counted)
+    with pytest.raises(ResourceLimitError, match="^more than 64 cycles "):
+        bidirected_grid(5).max_disjoint_quasi_cycles()
+    assert yielded <= QUASI_CYCLE_PACKING_LIMIT + 1
 
 
 def with_gapped_ids(g: Digraph, rng: random.Random) -> Digraph:

@@ -100,12 +100,15 @@ def test_replay_rejects_mismatched_certificates():
 
 
 def test_ground_limit_guard():
-    with pytest.raises(ResourceLimitError):
+    assert is_strong_grape(irrelevant_complex(range(12))) is not None
+    assert is_combinatorial_grape(irrelevant_complex(range(12))) is not None
+    message = "^ground size 13 exceeds the grape search limit of 12$"
+    with pytest.raises(ResourceLimitError, match=message):
         is_strong_grape(irrelevant_complex(range(13)))
-    with pytest.raises(ResourceLimitError):
+    with pytest.raises(ResourceLimitError, match=message):
         is_combinatorial_grape(irrelevant_complex(range(13)))
     g = parallel_graph(13)
-    with pytest.raises(ResourceLimitError):
+    with pytest.raises(ResourceLimitError, match=message):
         source_apex_strong_certificate(g, irrelevant_complex(g.edge_ids), "pm")
 
 
@@ -128,11 +131,11 @@ def test_source_apex_walk_hands_down_the_minor_complexes(monkeypatch):
     walk = grapes.source_apex_strong_certificate
     nodes = 0
 
-    def checked(g, c, which, limit=grapes.GRAPE_GROUND_LIMIT):
+    def checked(g, c, which):
         nonlocal nodes
         nodes += 1
         assert c == (build_pm(g) if which == "pm" else build_pf(g))
-        return walk(g, c, which, limit)
+        return walk(g, c, which)
 
     monkeypatch.setattr(grapes, "source_apex_strong_certificate", checked)
     # The corpus of acceptance criterion 7: at most 8 edges per graph, all

@@ -2,6 +2,7 @@ from math import comb
 
 import pytest
 
+from pathcomplexes import simplicial
 from pathcomplexes.errors import ResourceLimitError
 from pathcomplexes.pathcomplex import build_pf, build_pm
 from pathcomplexes.polynomial import IntPolynomial
@@ -96,8 +97,16 @@ def test_alexander_dual():
     assert pf.alexander_dual() == pm
     assert pm.alexander_dual().alexander_dual() == pm
     assert full_simplex((1, 2)).alexander_dual() == empty_complex((1, 2))
-    with pytest.raises(ResourceLimitError):
-        full_simplex(range(8)).alexander_dual(limit=4)
+
+
+def test_enumeration_guard():
+    # 2^21 subsets are over the limit of 2^20: refused before enumerating.
+    big = irrelevant_complex(range(21))
+    message = "^2\\^21 subsets exceed the enumeration limit of 1048576$"
+    with pytest.raises(ResourceLimitError, match=message):
+        big.alexander_dual()
+    with pytest.raises(ResourceLimitError, match=message):
+        big.minimal_nonfaces()
 
 
 def test_f_polynomial():
@@ -166,9 +175,13 @@ def test_gf2_betti_on_spheres_and_cones():
     assert empty_complex((1,)).gf2_reduced_betti().entries == ()
 
 
-def test_gf2_betti_guard():
-    with pytest.raises(ResourceLimitError):
-        full_simplex(range(4)).gf2_reduced_betti(limit=3)
+def test_gf2_betti_guard(monkeypatch):
+    # 2^20 faces is too many to build here, so lower the limit the call reads.
+    monkeypatch.setattr(simplicial, "FACE_ENUMERATION_LIMIT", 8)
+    assert full_simplex(range(3)).gf2_reduced_betti().entries == ()
+    with pytest.raises(ResourceLimitError,
+                       match="^16 faces exceed the homology limit of 8$"):
+        full_simplex(range(4)).gf2_reduced_betti()
 
 
 def test_betti_vector_alternating_sum():
@@ -281,7 +294,7 @@ def test_corpus_chi_full_simplex(corpus_complexes):
 def test_corpus_chi_cone_vanishes(corpus_complexes):
     fired = 0
     for name, c in corpus_complexes:
-        if c.is_cone():
+        if any(c.is_cone_with_apex(w) for w in c.ground):
             fired += 1
             assert c.reduced_euler_characteristic() == 0, name
     assert fired

@@ -1,5 +1,6 @@
 import re
 
+from pathcomplexes import grapes
 from pathcomplexes.digraph import Digraph
 from pathcomplexes.graphio import format_graph, parse_graph
 from pathcomplexes.verify import (CHECK_MANIFEST, CorpusSpec, SplitMix64,
@@ -110,8 +111,9 @@ def test_oversized_graph_skips_enumeration_checks():
     assert outcomes["fpoly-quasicycle-divisibility"].status == "pass"
 
 
-def test_grape_checks_skip_above_the_grape_limit():
-    outcomes = {o.check_id: o for o in run_all_checks(example_graph(), grape_limit=6)}
+def test_grape_checks_skip_above_the_grape_limit(monkeypatch):
+    monkeypatch.setattr(grapes, "GRAPE_GROUND_LIMIT", 6)
+    outcomes = {o.check_id: o for o in run_all_checks(example_graph())}
     for check_id in ("strong-grape-certificates", "strong-implies-combinatorial",
                      "grape-apex-source-restriction"):
         assert outcomes[check_id].status == "skip", check_id
