@@ -3,7 +3,7 @@
 A digraph with distinguished vertices s and t carries two simplicial
 complexes on its edge set: the subsets containing no s-t-path, and the
 subsets whose removal keeps one.  This package builds both explicitly,
-computes their f-polynomials by deletion-contraction, evaluates closed
+computes their f-polynomials by one frontier pass, evaluates closed
 forms for their reduced Euler characteristics and sphere/contractible
 classifications, certifies the classification through GF(2) homology,
 recognizes the grape structure of the complexes, and cross-checks all of

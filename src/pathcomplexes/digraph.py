@@ -350,7 +350,8 @@ class Digraph:
         """Edges lying on no simple s-t-path, computed once per graph.
 
         An edge (u, v) is useless when u is unreachable from s, t is
-        unreachable from v, or it is a self-loop.  Any other edge whose
+        unreachable from v, or it is a self-loop, enters s or leaves t;
+        reachability alone decides these.  Any other edge whose
         endpoints lie in different strongly connected components is
         useful: an s-u path stays in components at or before u's in
         topological order and a v-t path in components at or after v's, so
@@ -369,10 +370,9 @@ class Digraph:
     def _useless(self) -> frozenset[int]:
         """The edge set ``useless_edges`` returns."""
         fwd, bwd = self._reachable_from_s, self._coreachable_to_t
-        useless = {eid for eid, u, v in self.edges
-                   if u == v or u not in fwd or v not in bwd}
+        useless = self._useless_by_reach
         if self._cycle is None:
-            return frozenset(useless)
+            return useless
         comp = self._strong_components
         inside = defaultdict(set)  # component -> its undecided edges
         entries, exits = defaultdict(set), defaultdict(set)
@@ -398,7 +398,14 @@ class Digraph:
                 if not todo:
                     break
             useless |= todo
-        return frozenset(useless)
+        return useless
+
+    @cached_property
+    def _useless_by_reach(self) -> frozenset[int]:
+        """The edges ``useless_edges`` marks by reachability alone."""
+        fwd, bwd, s, t = self._reachable_from_s, self._coreachable_to_t, self.s, self.t
+        return frozenset(eid for eid, u, v in self.edges
+                         if u == v or u not in fwd or v not in bwd or v == s or u == t)
 
     @cached_property
     def _strong_components(self) -> dict:

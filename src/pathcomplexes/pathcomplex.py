@@ -6,17 +6,15 @@ For a graph with distinguished vertices s and t:
 * the path-missing complex holds the subsets whose removal still leaves
   an s-t-path.
 
-Both are built here explicitly, together with a deletion-contraction
-engine for the path-missing f-polynomial (the path-free one follows by
-Alexander duality), closed forms for their reduced Euler
-characteristics, sphere/contractible classification, divisibility of the
-f-polynomials by powers of (1+x), and the r-edge-disjoint generalization
-decided by unit-capacity flow.
+Both are built here explicitly.  One frontier pass counts the path-missing
+f-polynomial, and Alexander duality gives the path-free one.  Closed forms
+give their reduced Euler characteristics and sphere/contractible
+classification, powers of (1+x) are checked to divide the f-polynomials,
+and unit-capacity flow decides the r-edge-disjoint generalization.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from math import comb
 from typing import Callable, Optional
@@ -27,6 +25,7 @@ from .polynomial import IntPolynomial, poly_divisibility
 from .simplicial import SimplicialComplex
 
 BUILD_EDGE_LIMIT = 20
+FRONTIER_STATE_LIMIT = 1 << 15
 
 CASE_USELESS_OR_CYCLE = "useless-or-cycle"
 CASE_EMPTY_EDGE = "empty-edge-case"
@@ -150,7 +149,7 @@ def build_pf_r(g: Digraph, r: int, limit: int = BUILD_EDGE_LIMIT) -> SimplicialC
     return _build(g, lambda m: flow(m, r)[0] < r, limit)
 
 
-# -- deletion-contraction f-polynomials --------------------------------------------
+# -- f-polynomials by one frontier pass --------------------------------------------
 
 
 def _dual_fpoly(f: IntPolynomial, n: int) -> IntPolynomial:
@@ -160,61 +159,55 @@ def _dual_fpoly(f: IntPolynomial, n: int) -> IntPolynomial:
 
 
 def fpoly_pm_dc(g: Digraph) -> IntPolynomial:
-    """f-polynomial of the path-missing complex, no subset enumeration.
+    """f-polynomial of the path-missing complex by one frontier pass.
 
-    s = t gives the full simplex (1+x)^|E|; no s-t-path gives the empty
-    complex, i.e. 0.  Otherwise split on the lowest-id edge e out of s:
-    deleting e inside a face corresponds to the graph minus e, keeping it
-    to the contraction, so
-
-        f(G) = f(G/e) + x * f(G \\ e).
-
-    Before each split the graph is reduced without branching.  An edge on
-    no s-t-path is a cone apex, f(G) = (1+x) * f(G \\ e): its source is
-    unreachable from s, t is unreachable from its target, or it is a
-    self-loop, enters s or leaves t.  A sole edge e out of s lies on every
-    s-t-path, so f(G) = f(G/e); a chain of such edges is contracted at
-    once.  Splits are memoized on the edge multiset plus (s, t), and only
-    splits recurse.
+    f[k] counts the removed edge sets of size k whose kept edges hold an
+    s-t-path.  The pass takes the edges that reachability leaves useful, by
+    their endpoints' breadth-first positions from s.  A state holds what s
+    reaches and, per vertex s does not reach, what that vertex reaches; a
+    vertex counts as reached until its last edge out (t for good) and as
+    reaching until its last edge in.  States map to their counts by size,
+    packed w bits per size.  A state in which s reaches nothing live is
+    dropped; a kept set that reaches t leaves the states and is free on
+    every later or useless edge.  Over ``FRONTIER_STATE_LIMIT`` states raise
+    ``ResourceLimitError``.
     """
-    memo: dict = {}
-
-    def engine(g: Digraph) -> IntPolynomial:
-        cones = 0
-        while g.s != g.t:
-            s, t = g.s, g.t
-            fwd, bwd = g._reachable_from_s, g._coreachable_to_t
-            if t not in fwd:
-                return IntPolynomial()
-
-            def useful(u, v):
-                return u in fwd and v in bwd and u != v and v != s and u != t
-
-            # Merge s with the chain of sole useful out-edges behind it.  The
-            # chain edges are contracted; other edges into the merged
-            # vertex now enter s and join the useless edges as cone apexes.
-            merged, out = {s}, [(eid, v) for eid, v in g._out[s] if useful(s, v)]
-            while len(out) == 1 and t not in merged:
-                u = out[0][1]
-                merged.add(u)
-                out = [(eid, w) for eid, w in g._out[u] if w not in merged and useful(u, w)]
-            edges = tuple((eid, s if u in merged else u, v)
-                          for eid, u, v in g.edges if useful(u, v) and v not in merged)
-            cones += len(g.edges) - len(edges) - (len(merged) - 1)
-            if len(edges) < len(g.edges):
-                g = Digraph(tuple(w for w in g.vertices if w == s or w not in merged),
-                            edges, s, s if t in merged else t)
-            if len(merged) == 1:
-                break
-        else:
-            return IntPolynomial.one_plus_x_power(len(g.edges) + cones)
-        key = (g.s, g.t, frozenset(Counter((u, v) for _, u, v in g.edges).items()))
-        if key not in memo:
-            e = out[0][0]  # the lowest-id edge out of s
-            memo[key] = engine(g.contract_edge(e)) + engine(g.delete_edge(e)).shift()
-        return memo[key] * IntPolynomial.one_plus_x_power(cones)
-
-    return engine(g)
+    bit: dict = {}  # vertex -> 1 << its breadth-first position from s
+    for v in (queue := [g.s]):
+        if v not in bit:
+            bit[v] = 1 << len(bit)
+            queue += (x for _, x in g._out[v])
+    edges = sorted(((bit[u], bit[v]) for eid, u, v in g.edges if eid not in g._useless_by_reach),
+                   key=lambda e: (min(e), max(e)))
+    last_out, last_in = ({e[j]: i for i, e in enumerate(edges)} for j in (0, 1))
+    m, t = len(g.edges), bit.get(g.t, 0)
+    w = 8 * (m // 8 + 1)  # w bits hold any count of edge sets
+    rows: list = []  # the vertices asked what they reach, in mask order
+    done = int(g.s == g.t)  # the counts of the sets that reach t (with s = t, all)
+    states = {} if done else {(1, ()): 1}  # (mask s reaches, masks rows reach) -> counts
+    for i, (u, v) in enumerate(edges):
+        done += done << w
+        grow = tuple(x for x in (u, v) if x not in rows and last_in.get(x, -1) >= i)
+        rows += grow
+        vrow, gone = rows.index(v), u if last_out[u] == i else 0
+        keep = [k for k, x in enumerate(rows) if last_in[x] > i]
+        rows = [rows[k] for k in keep]
+        old, states = states, {}
+        for (reach, rel), cnt in old.items():
+            rel += grow
+            rv = rel[vrow]
+            for at, to, c in ((reach, rel, cnt << w), (reach | rv if reach & u else reach,
+                              tuple(r | rv if r & u else r for r in rel), cnt)):
+                if at & t:
+                    done += c
+                elif at & ~gone:
+                    key = (at & ~gone, tuple(to[k] & ~(at | gone) for k in keep))
+                    states[key] = states.get(key, 0) + c
+        if len(states) > FRONTIER_STATE_LIMIT:
+            raise ResourceLimitError(f"frontier states exceed the limit of {FRONTIER_STATE_LIMIT}")
+    raw = (done * (1 + (1 << w)) ** (m - len(edges))).to_bytes((m + 1) * w // 8, "little")
+    return IntPolynomial(int.from_bytes(raw[k * w // 8:(k + 1) * w // 8], "little")
+                         for k in range(m + 1))
 
 
 def fpoly_pf_dc(g: Digraph) -> IntPolynomial:

@@ -1,10 +1,14 @@
+import hashlib
 import math
+import random
 from itertools import combinations
 
 import pytest
 
+from pathcomplexes import pathcomplex
 from pathcomplexes.digraph import Digraph
 from pathcomplexes.errors import ResourceLimitError
+from pathcomplexes.graphio import parse_graph
 from pathcomplexes.pathcomplex import (CASE_EMPTY_EDGE, CASE_GENERIC_ACYCLIC,
                                        CASE_USELESS_OR_CYCLE, build_pf,
                                        build_pf_r, build_pm, build_pm_r,
@@ -88,7 +92,7 @@ def test_r_one_reduces_to_plain_complexes():
         assert build_pf_r(g, 1) == build_pf(g)
 
 
-# -- deletion-contraction f-polynomials -----------------------------------------------
+# -- f-polynomials by the frontier pass -----------------------------------------------
 
 
 def test_fpoly_parallel2():
@@ -126,6 +130,89 @@ def test_fpoly_closed_forms_beyond_enumeration():
     g = parallel_graph(k)
     assert fpoly_pm_dc(g) == IntPolynomial.one_plus_x_power(k) - IntPolynomial([1]).shift(k)
     assert fpoly_pf_dc(g) == IntPolynomial([1])
+
+
+def grid_text(n: int, rng=None) -> str:
+    """Graph file of the n x n grid (right and down edges, corner to corner);
+    with ``rng``, its vertex declarations and edge lines are shuffled."""
+    name = lambda i, j: f"g{i}_{j}"
+    vertices = [f"vertex {name(i, j)}" for i in range(n) for j in range(n)]
+    edges = [f"edge e{k} {a} {b}" for k, (a, b) in enumerate(
+        (name(i, j), name(i + di, j + dj)) for i in range(n) for j in range(n)
+        for di, dj in ((0, 1), (1, 0)) if i + di < n and j + dj < n)]
+    if rng is not None:
+        rng.shuffle(vertices)
+        rng.shuffle(edges)
+    return "\n".join([*vertices, f"s {name(0, 0)}", f"t {name(n - 1, n - 1)}", *edges]) + "\n"
+
+
+def rail_ladder_text(rungs: int, rng=None) -> str:
+    """Two directed rails a, b joined by 2-cycle rungs, from a0 to the last b."""
+    vertices = [f"vertex {r}{i}" for r in "ab" for i in range(rungs)]
+    pairs = [(f"{r}{i}", f"{r}{i + 1}") for i in range(rungs - 1) for r in "ab"]
+    pairs += [p for i in range(rungs) for p in ((f"a{i}", f"b{i}"), (f"b{i}", f"a{i}"))]
+    edges = [f"edge e{k} {u} {v}" for k, (u, v) in enumerate(pairs)]
+    if rng is not None:
+        rng.shuffle(vertices)
+        rng.shuffle(edges)
+    return "\n".join([*vertices, "s a0", f"t b{rungs - 1}", *edges]) + "\n"
+
+
+def test_fpoly_matches_enumeration_on_random_multigraphs():
+    rng = random.Random(11)
+    seen = {"s = t": 0, "self-loop": 0, "parallel": 0}
+    for _ in range(1000):
+        n = rng.randint(1, 7)
+        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 12))]
+        g = Digraph.build(range(n), pairs, rng.randrange(n), rng.randrange(n))
+        seen["s = t"] += g.s == g.t
+        seen["self-loop"] += any(u == v for u, v in pairs)
+        seen["parallel"] += len(set(pairs)) < len(pairs)
+        assert fpoly_pm_dc(g) == build_pm(g).f_polynomial(), g
+    assert min(seen.values()) >= 100, seen
+
+
+def test_fpoly_ignores_edge_and_vertex_order():
+    rng = random.Random(5)
+    for text, size in ((grid_text, 7), (rail_ladder_text, 10)):
+        want = fpoly_pm_dc(parse_graph(text(size)))
+        for _ in range(2):
+            assert fpoly_pm_dc(parse_graph(text(size, rng))) == want
+
+
+# sha256 of repr(list(coefficients)) of the n x n grids, computed by the
+# deletion-contraction recursion that the frontier pass replaced.
+GRID_FPOLY_SHA256 = {
+    6: "638af6a973e0ebac10c7515af3bbe4d88220807af7116ba5c636c96ee5f7ac5b",
+    7: "0f31fd840520fe0f9714dc8a2b820ffb2423712136a40586ad294fab5fe31374",
+    8: "a5d5c8089bd9abad7955dd673ba673c05511faef2b50f55a5b5af87e2ea333fa",
+}
+
+
+@pytest.mark.parametrize("n", sorted(GRID_FPOLY_SHA256))
+def test_fpoly_grid_polynomials_are_pinned(n):
+    f = fpoly_pm_dc(parse_graph(grid_text(n)))
+    # A face keeps at least one of the C(2n-2, n-1) monotone paths of 2n-2 edges.
+    assert f.degree == 2 * n * (n - 1) - (2 * n - 2)
+    assert f[f.degree] == math.comb(2 * n - 2, n - 1)
+    assert hashlib.sha256(repr(list(f.coeffs)).encode()).hexdigest() == GRID_FPOLY_SHA256[n]
+
+
+def test_fpoly_long_series_chain():
+    # 1,200 parallel pairs in series: a face keeps an edge of every pair.
+    n = 1200
+    g = Digraph.build(range(n + 1), [(i, i + 1) for i in range(n) for _ in "ab"], 0, n)
+    assert fpoly_pm_dc(g).evaluate(1) == 3 ** n
+
+
+def test_frontier_state_guard(monkeypatch):
+    # The 7x7 grid holds at most 2^7 - 1 = 127 states at once.
+    g = parse_graph(grid_text(7))
+    monkeypatch.setattr(pathcomplex, "FRONTIER_STATE_LIMIT", 127)
+    assert fpoly_pm_dc(g).evaluate(1) > 0
+    monkeypatch.setattr(pathcomplex, "FRONTIER_STATE_LIMIT", 126)
+    with pytest.raises(ResourceLimitError, match="^frontier states exceed the limit of 126$"):
+        fpoly_pm_dc(g)
 
 
 # -- closed-form Euler characteristics ---------------------------------------------------
