@@ -6,7 +6,8 @@ For a graph with distinguished vertices s and t:
 * the path-missing complex holds the subsets whose removal still leaves
   an s-t-path.
 
-Both are built here explicitly.  One frontier pass counts the path-missing
+Both are built here explicitly, from one truth table of reachability over
+the edge subsets.  One frontier pass counts the path-missing
 f-polynomial, and Alexander duality gives the path-free one.  Closed forms
 give their reduced Euler characteristics and sphere/contractible
 classification, powers of (1+x) are checked to divide the f-polynomials,
@@ -17,12 +18,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 from .digraph import Digraph
 from .errors import ResourceLimitError
 from .polynomial import IntPolynomial, poly_divisibility
-from .simplicial import SimplicialComplex
+from .simplicial import SimplicialComplex, _patterns, _positions
 
 BUILD_EDGE_LIMIT = 20
 FRONTIER_STATE_LIMIT = 1 << 15
@@ -111,28 +112,62 @@ def pf_r_member(g: Digraph, f, r: int) -> bool:
 # -- explicit construction ------------------------------------------------------
 
 
-def _build(g: Digraph, oracle: Callable[[int], bool], limit: int) -> SimplicialComplex:
-    """The complex on ``g.edge_ids`` whose faces are the edge masks (bit i
-    for ``g.edges[i]``) that ``oracle`` accepts, one call per subset;
-    downward closure is validated on every build."""
+def _edge_subsets(g: Digraph, limit: int) -> int:
+    """2^|E|, the number of edge masks a build decides; over ``limit``
+    edges raise ``ResourceLimitError``."""
     m = len(g.edges)
     if m > limit:
         raise ResourceLimitError(f"{m} edges exceed the enumeration limit of {limit}")
-    c = SimplicialComplex(g.edge_ids, frozenset(filter(oracle, range(1 << m))))
+    return 1 << m
+
+
+def _complex(g: Digraph, faces: Iterable[int]) -> SimplicialComplex:
+    """The complex on ``g.edge_ids`` with the given edge masks (bit i for
+    ``g.edges[i]``) as faces; downward closure is validated on every build."""
+    c = SimplicialComplex(g.edge_ids, frozenset(faces))
     c.validate()
     return c
 
 
+def _build(g: Digraph, oracle: Callable[[int], bool], limit: int) -> SimplicialComplex:
+    """The complex whose faces are the edge masks ``oracle`` accepts, one
+    call per subset."""
+    return _complex(g, filter(oracle, range(_edge_subsets(g, limit))))
+
+
+def _reach_table(g: Digraph, size: int) -> int:
+    """The ``size``-bit truth table of reachability: bit x is set iff the
+    edge mask x holds an s-t-path.  Every vertex carries the table of the
+    masks that reach it; an edge i = (u, v) adds to v's the masks of u's
+    that hold edge i, over at most |V| rounds until no table grows."""
+    ones = (1 << size) - 1
+    if g.s == g.t:
+        return ones
+    arcs = [(u, v, p) for (_, u, v), p in zip(g.edges, _patterns(len(g.edges))) if u != v]
+    reach = dict.fromkeys(g.vertices, 0)
+    reach[g.s] = ones
+    grew = True
+    while grew:
+        grew = False
+        for u, v, p in arcs:
+            x = reach[v] | reach[u] & p
+            if x != reach[v]:
+                reach[v], grew = x, True
+    return reach[g.t]
+
+
 def build_pm(g: Digraph, limit: int = BUILD_EDGE_LIMIT) -> SimplicialComplex:
-    """Enumerate the path-missing complex; downward closure is asserted."""
-    full, reaches = g.full_mask, g.reaches
-    return _build(g, lambda m: reaches(full ^ m), limit)
+    """Enumerate the path-missing complex; downward closure is asserted.
+    Its faces are the complements of the masks that reach t."""
+    size = _edge_subsets(g, limit)
+    return _complex(g, _positions(_reach_table(g, size), size, msb_first=True))
 
 
 def build_pf(g: Digraph, limit: int = BUILD_EDGE_LIMIT) -> SimplicialComplex:
-    """Enumerate the path-free complex; downward closure is asserted."""
-    reaches = g.reaches
-    return _build(g, lambda m: not reaches(m), limit)
+    """Enumerate the path-free complex; downward closure is asserted.
+    Its faces are the masks that do not reach t."""
+    size = _edge_subsets(g, limit)
+    return _complex(g, _positions(_reach_table(g, size) ^ ((1 << size) - 1), size))
 
 
 def build_pm_r(g: Digraph, r: int, limit: int = BUILD_EDGE_LIMIT) -> SimplicialComplex:
@@ -172,26 +207,35 @@ def fpoly_pm_dc(g: Digraph) -> IntPolynomial:
     every later or useless edge.  Over ``FRONTIER_STATE_LIMIT`` states raise
     ``ResourceLimitError``.
     """
-    bit: dict = {}  # vertex -> 1 << its breadth-first position from s
+    pos: dict = {}  # vertex -> its breadth-first position from s
     for v in (queue := [g.s]):
-        if v not in bit:
-            bit[v] = 1 << len(bit)
+        if v not in pos:
+            pos[v] = len(pos)
             queue += (x for _, x in g._out[v])
-    edges = sorted(((bit[u], bit[v]) for eid, u, v in g.edges if eid not in g._useless_by_reach),
+    edges = sorted(((pos[u], pos[v]) for eid, u, v in g.edges if eid not in g._useless_by_reach),
                    key=lambda e: (min(e), max(e)))
     last_out, last_in = ({e[j]: i for i, e in enumerate(edges)} for j in (0, 1))
-    m, t = len(g.edges), bit.get(g.t, 0)
+    first = {x: i for i, e in reversed(tuple(enumerate(edges))) for x in e}
+    m, t = len(g.edges), 1 << pos[g.t] if g.t in pos else 0
     w = 8 * (m // 8 + 1)  # w bits hold any count of edge sets
-    rows: list = []  # the vertices asked what they reach, in mask order
+    rows: list = []  # the positions of the vertices asked what they reach
     done = int(g.s == g.t)  # the counts of the sets that reach t (with s = t, all)
     states = {} if done else {(1, ()): 1}  # (mask s reaches, masks rows reach) -> counts
-    for i, (u, v) in enumerate(edges):
+    for i, (a, b) in enumerate(edges):
+        u, v = 1 << a, 1 << b
         done += done << w
-        grow = tuple(x for x in (u, v) if x not in rows and last_in.get(x, -1) >= i)
-        rows += grow
-        vrow, gone = rows.index(v), u if last_out[u] == i else 0
-        keep = [k for k, x in enumerate(rows) if last_in[x] > i]
-        rows = [rows[k] for k in keep]
+        gone = u if last_out[a] == i else 0
+        fresh = first[b] == i  # b is asked what it reaches from this edge on
+        if first[a] == i and a in last_in or fresh != (last_in[b] == i):  # the rows change
+            grow = tuple(x for x in (a, b) if first[x] == i and x in last_in)
+            rows += grow
+            vrow = rows.index(b)
+            keep = [k for k, x in enumerate(rows) if last_in[x] > i]
+            rows = [rows[k] for k in keep]
+            grow = tuple(1 << x for x in grow)
+        else:  # a fresh b is asked on this edge alone, past the kept rows
+            grow, keep = (v,) * fresh, range(len(rows))
+            vrow = len(rows) if fresh else rows.index(b)
         old, states = states, {}
         for (reach, rel), cnt in old.items():
             rel += grow

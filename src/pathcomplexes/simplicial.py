@@ -6,12 +6,18 @@ operations, and frozensets of ground elements appear only at the API
 edge (``from_faces`` encodes them; ``facets`` and ``minimal_nonfaces``
 decode).  The empty complex (no faces at all) and the irrelevant complex
 {∅} are distinct values.
+
+Downward closure, facets, the Alexander dual and minimal non-faces read
+the derived ``_table``, the face family as one 2^n-bit int (bit f set iff
+f is a face): against ``_patterns(n)`` each is n shifts and masks of it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from functools import cached_property, lru_cache
+from itertools import compress
+from typing import Iterable, Iterator
 
 from .errors import ResourceLimitError
 from .polynomial import IntPolynomial
@@ -40,6 +46,42 @@ def _check_enumeration(n_ground: int):
     if 2 ** n_ground > FACE_ENUMERATION_LIMIT:
         raise ResourceLimitError(f"2^{n_ground} subsets exceed the enumeration "
                                  f"limit of {FACE_ENUMERATION_LIMIT}")
+
+
+@lru_cache(maxsize=None)
+def _patterns(n: int) -> tuple[int, ...]:
+    """Entry i is the 2^n-bit int whose bit x is set iff mask x has bit i."""
+    if not n:
+        return ()
+    half = 1 << (n - 1)
+    return (*(p | p << half for p in _patterns(n - 1)), ((1 << half) - 1) << half)
+
+
+_BIT = bytes.maketrans(b"01", b"\0\1")
+
+
+def _positions(x: int, size: int, msb_first: bool = False) -> Iterator[int]:
+    """The set bits of the ``size``-bit int x, ascending.  With
+    ``msb_first`` bit j is reported as size - 1 - j instead, which for a
+    truth table over the subsets of a ground set is the complement mask."""
+    digits = format(x, f"0{size}b").encode()
+    return compress(range(size), (digits if msb_first else digits[::-1]).translate(_BIT))
+
+
+def _below(x: int, n: int) -> int:
+    """The table of the sets one element short of a set in the table x."""
+    out = 0
+    for i, p in enumerate(_patterns(n)):
+        out |= (x & p) >> (1 << i)
+    return out
+
+
+def _above(x: int, n: int) -> int:
+    """The table of the sets one element more than a set in the table x."""
+    out = 0
+    for i, p in enumerate(_patterns(n)):
+        out |= x << (1 << i) & p
+    return out
 
 
 def _squeeze(m: int, i: int) -> int:
@@ -85,7 +127,7 @@ class SimplicialComplex:
             raise ValueError("face family is not downward closed")
 
     def is_downward_closed(self) -> bool:
-        return all(self._drops(b) <= self.faces for b in self._singles())
+        return not _below(self._table, len(self.ground)) & ~self._table
 
     def bit(self, w: int) -> int:
         """The one-bit mask standing for ground element w."""
@@ -94,12 +136,14 @@ class SimplicialComplex:
         except ValueError:
             raise ValueError(f"{w} is not a ground element") from None
 
-    def _singles(self) -> list[int]:
-        return [1 << i for i in range(len(self.ground))]
-
-    def _drops(self, b: int) -> set[int]:
-        """The faces containing bit b, with b removed."""
-        return {f ^ b for f in self.faces if f & b}
+    @cached_property
+    def _table(self) -> int:
+        """Bit f is set iff f is a face: the face family as one 2^n-bit int."""
+        _check_enumeration(len(self.ground))
+        digits = bytearray(b"0") * (1 << len(self.ground))
+        for f in self.faces:
+            digits[f] = 49  # ord("1")
+        return int(digits[::-1], 2)
 
     def _decode(self, m: int) -> Face:
         return frozenset(x for i, x in enumerate(self.ground) if m >> i & 1)
@@ -114,7 +158,8 @@ class SimplicialComplex:
         """Inclusion-maximal faces, in (size, lexicographic) order."""
         # A face below another is one element short of some face, by
         # downward closure; the facets are the faces that are not.
-        out = self.faces.difference(*map(self._drops, self._singles()))
+        x, n = self._table, len(self.ground)
+        out = _positions(x & ~_below(x, n), 1 << n)
         return sorted(map(self._decode, out), key=lambda f: (len(f), sorted(f)))
 
     # -- element operations ----------------------------------------------------
@@ -149,9 +194,9 @@ class SimplicialComplex:
     def alexander_dual(self) -> "SimplicialComplex":
         """Complements of non-faces: {F : ground \\ F not a face}."""
         _check_enumeration(len(self.ground))
-        full = (1 << len(self.ground)) - 1
+        size = 1 << len(self.ground)
         return SimplicialComplex(self.ground, frozenset(
-            full ^ m for m in range(full + 1) if m not in self.faces))
+            _positions(self._table ^ ((1 << size) - 1), size, msb_first=True)))
 
     def f_polynomial(self) -> IntPolynomial:
         """Coefficient of x^k counts the faces of size k."""
@@ -178,10 +223,10 @@ class SimplicialComplex:
         and downward closure makes the converse hold too.
         """
         _check_enumeration(len(self.ground))
-        faces, singles = self.faces, self._singles()
-        out = [self._decode(m) for m in range(1 << len(self.ground))
-               if m not in faces and all(m ^ b in faces for b in singles if m & b)]
-        return sorted(out, key=lambda f: (len(f), sorted(f)))
+        n = len(self.ground)
+        nonfaces = self._table ^ ((1 << (1 << n)) - 1)
+        out = _positions(nonfaces & ~_above(nonfaces, n), 1 << n)
+        return sorted(map(self._decode, out), key=lambda f: (len(f), sorted(f)))
 
     def codimension(self) -> int:
         """Ground size minus the largest face size."""
@@ -201,7 +246,7 @@ class SimplicialComplex:
         if len(self.faces) > FACE_ENUMERATION_LIMIT:
             raise ResourceLimitError(f"{len(self.faces)} faces exceed the homology "
                                      f"limit of {FACE_ENUMERATION_LIMIT}")
-        singles = self._singles()
+        singles = [1 << i for i in range(len(self.ground))]
         by_size: dict[int, list[int]] = {}
         for f in self.faces:
             by_size.setdefault(f.bit_count(), []).append(f)

@@ -38,6 +38,27 @@ def ids_for(g, letters):
     return frozenset(by_label[x] for x in letters)
 
 
+def random_multigraphs(seed: int, count: int = 1000) -> list[Digraph]:
+    """Random multigraphs on at most 7 vertices and 12 edges, at least 100
+    each with s = t, with a self-loop and with parallel edges."""
+    rng = random.Random(seed)
+    graphs, seen = [], {"s = t": 0, "self-loop": 0, "parallel": 0}
+    for _ in range(count):
+        n = rng.randint(1, 7)
+        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 12))]
+        graphs.append(Digraph.build(range(n), pairs, rng.randrange(n), rng.randrange(n)))
+        seen["s = t"] += graphs[-1].s == graphs[-1].t
+        seen["self-loop"] += any(u == v for u, v in pairs)
+        seen["parallel"] += len(set(pairs)) < len(pairs)
+    assert min(seen.values()) >= 100, seen
+    return graphs
+
+
+@pytest.fixture(scope="module")
+def multigraphs():
+    return random_multigraphs(12)
+
+
 # -- membership -----------------------------------------------------------------
 
 
@@ -86,10 +107,23 @@ def test_build_guard():
         build_pm(example_graph(), limit=3)
 
 
-def test_r_one_reduces_to_plain_complexes():
-    for g in (example_graph(), parallel_graph(3), loop_graph(), path_graph(2)):
-        assert build_pm_r(g, 1) == build_pm(g)
-        assert build_pf_r(g, 1) == build_pf(g)
+def test_builds_match_member_oracles_on_random_multigraphs(multigraphs):
+    # The builds read a reachability truth table; the member oracles run
+    # one search per subset.
+    for g in multigraphs:
+        pm, pf = build_pm(g), build_pf(g)
+        for k in range(len(g.edges) + 1):
+            for f in combinations(g.edge_ids, k):
+                mask = g.edge_mask(f)
+                assert (mask in pm.faces) == pm_member(g, f), (g, f)
+                assert (mask in pf.faces) == pf_member(g, f), (g, f)
+
+
+def test_r_one_reduces_to_plain_complexes(multigraphs):
+    # r = 1 runs the flow oracle once per subset, not the reach table.
+    for g in (example_graph(), parallel_graph(3), loop_graph(), path_graph(2), *multigraphs):
+        assert build_pm_r(g, 1) == build_pm(g), g
+        assert build_pf_r(g, 1) == build_pf(g), g
 
 
 # -- f-polynomials by the frontier pass -----------------------------------------------
@@ -159,17 +193,8 @@ def rail_ladder_text(rungs: int, rng=None) -> str:
 
 
 def test_fpoly_matches_enumeration_on_random_multigraphs():
-    rng = random.Random(11)
-    seen = {"s = t": 0, "self-loop": 0, "parallel": 0}
-    for _ in range(1000):
-        n = rng.randint(1, 7)
-        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 12))]
-        g = Digraph.build(range(n), pairs, rng.randrange(n), rng.randrange(n))
-        seen["s = t"] += g.s == g.t
-        seen["self-loop"] += any(u == v for u, v in pairs)
-        seen["parallel"] += len(set(pairs)) < len(pairs)
+    for g in random_multigraphs(11):
         assert fpoly_pm_dc(g) == build_pm(g).f_polynomial(), g
-    assert min(seen.values()) >= 100, seen
 
 
 def test_fpoly_ignores_edge_and_vertex_order():

@@ -1,3 +1,5 @@
+import random
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -107,6 +109,8 @@ def test_enumeration_guard():
         big.alexander_dual()
     with pytest.raises(ResourceLimitError, match=message):
         big.minimal_nonfaces()
+    with pytest.raises(ResourceLimitError, match=message):
+        big.facets()  # the face table spans the subsets too
 
 
 def test_f_polynomial():
@@ -165,6 +169,56 @@ def test_facets():
     assert irrelevant_complex((1,)).facets() == [frozenset()]
 
 
+def check_queries_against_sets(c):
+    """The lattice queries of c, which read its face table, against their
+    definitions over frozensets of ground elements."""
+    ground = frozenset(c.ground)
+    faces = {frozenset(x for i, x in enumerate(c.ground) if f >> i & 1) for f in c.faces}
+    subsets = [frozenset(s) for k in range(len(ground) + 1) for s in combinations(c.ground, k)]
+    assert c.is_downward_closed() == all(f - {x} in faces for f in faces for x in f)
+    if not c.is_downward_closed():
+        return
+    # Under downward closure a face below another is below a face one larger.
+    assert set(c.facets()) == {f for f in faces if not any(f | {x} in faces for x in ground - f)}
+    dual = c.alexander_dual()
+    assert dual.ground == c.ground
+    assert {frozenset(x for i, x in enumerate(c.ground) if f >> i & 1) for f in dual.faces} \
+        == {ground - s for s in subsets if s not in faces}
+    assert set(c.minimal_nonfaces()) == {s for s in subsets if s not in faces
+                                         and all(s - {x} in faces for x in s)}
+
+
+def test_queries_match_set_definitions():
+    for ground in ((), (1, 2, 3)):
+        check_queries_against_sets(empty_complex(ground))
+        check_queries_against_sets(irrelevant_complex(ground))
+    assert empty_complex().facets() == [] and empty_complex().minimal_nonfaces() == [frozenset()]
+    assert irrelevant_complex().facets() == [frozenset()]
+    assert irrelevant_complex().minimal_nonfaces() == []
+    assert empty_complex().alexander_dual() == irrelevant_complex()
+    # Ten ground elements: the faces and the table span more than one byte.
+    rng = random.Random(3)
+    ground = (7, 3, 12, 0, 5, 9, 1, 20, 4, 8)
+    for _ in range(20):
+        tops = [rng.sample(ground, rng.randint(0, 9)) for _ in range(rng.randint(1, 5))]
+        c = complex_of(*(s for t in tops for k in range(len(t) + 1)
+                         for s in combinations(t, k)), ground=ground)
+        check_queries_against_sets(c)
+        broken = SimplicialComplex(c.ground, c.faces - {0}) if len(c.faces) > 1 else c
+        check_queries_against_sets(broken)
+    check_queries_against_sets(proper_subsets_complex(ground))
+
+
+def test_from_faces_rejects_a_missing_drop_of_the_highest_bit():
+    # Every subset of ten elements but the one that lacks only the last;
+    # the full set is a face, so its drop of the highest bit is missing.
+    ground = tuple(range(10))
+    faces = [s for k in range(11) for s in combinations(ground, k) if s != ground[:-1]]
+    with pytest.raises(ValueError, match="^face family is not downward closed$"):
+        SimplicialComplex.from_faces(ground, faces)
+    assert SimplicialComplex.from_faces(ground, faces + [ground[:-1]]) == full_simplex(ground)
+
+
 def test_gf2_betti_on_spheres_and_cones():
     zero_sphere = complex_of((), {1}, {2}, ground=(1, 2))
     assert zero_sphere.gf2_reduced_betti().entries == ((0, 1),)
@@ -203,6 +257,13 @@ def corpus_complexes():
     return [(f"graph {i} {name}", build(g))
             for i, g in enumerate(generate_corpus(CORPUS_SPEC))
             for name, build in (("pm", build_pm), ("pf", build_pf))]
+
+
+def test_corpus_queries_match_set_definitions(corpus_complexes):
+    for name, c in corpus_complexes:
+        check_queries_against_sets(c)
+        if len(c.faces) > 1:  # without the empty face, a family is not closed
+            check_queries_against_sets(SimplicialComplex(c.ground, c.faces - {0}))
 
 
 def test_corpus_dual_involution(corpus_complexes):
