@@ -10,20 +10,21 @@ Both are built here explicitly, from one truth table of reachability over
 the edge subsets.  One frontier pass counts the path-missing
 f-polynomial, and Alexander duality gives the path-free one.  Closed forms
 give their reduced Euler characteristics and sphere/contractible
-classification, powers of (1+x) are checked to divide the f-polynomials,
-and unit-capacity flow decides the r-edge-disjoint generalization.
+classification, and powers of (1+x) are checked to divide the
+f-polynomials.  The r-edge-disjoint generalization grows the same table by
+Menger's theorem, one step per r.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 from .digraph import Digraph
 from .errors import ResourceLimitError
 from .polynomial import IntPolynomial, poly_divisibility
-from .simplicial import SimplicialComplex, _patterns, _positions
+from .simplicial import SimplicialComplex, _above, _patterns, _positions
 
 BUILD_EDGE_LIMIT = 20
 FRONTIER_STATE_LIMIT = 1 << 15
@@ -129,23 +130,24 @@ def _complex(g: Digraph, faces: Iterable[int]) -> SimplicialComplex:
     return c
 
 
-def _build(g: Digraph, oracle: Callable[[int], bool], limit: int) -> SimplicialComplex:
-    """The complex whose faces are the edge masks ``oracle`` accepts, one
-    call per subset."""
-    return _complex(g, filter(oracle, range(_edge_subsets(g, limit))))
+def _free_table(g: Digraph, r: int, limit: int) -> tuple[int, int]:
+    """The truth table of the edge masks holding fewer than r edge-disjoint
+    s-t-paths (bit x is set iff mask x does) and its size 2^|E|.
 
-
-def _reach_table(g: Digraph, size: int) -> int:
-    """The ``size``-bit truth table of reachability: bit x is set iff the
-    edge mask x holds an s-t-path.  Every vertex carries the table of the
-    masks that reach it; an edge i = (u, v) adds to v's the masks of u's
-    that hold edge i, over at most |V| rounds until no table grows."""
-    ones = (1 << size) - 1
+    For r = 1 it is the complement of reachability.  Every vertex carries
+    the table of the masks that reach it; an edge i = (u, v) adds to v's
+    the masks of u's that hold edge i, over at most |V| rounds until no
+    table grows.  By Menger's theorem a mask holds fewer than r paths iff
+    it holds none, or dropping one of its edges leaves fewer than r - 1:
+    each further r is one ``_above`` step, until the table stops growing
+    (at r = |E| + 1 at the latest).  With s = t no mask is in the table.
+    """
+    size, n = _edge_subsets(g, limit), len(g.edges)
     if g.s == g.t:
-        return ones
-    arcs = [(u, v, p) for (_, u, v), p in zip(g.edges, _patterns(len(g.edges))) if u != v]
+        return 0, size
+    arcs = [(u, v, p) for (_, u, v), p in zip(g.edges, _patterns(n)) if u != v]
     reach = dict.fromkeys(g.vertices, 0)
-    reach[g.s] = ones
+    reach[g.s] = ones = (1 << size) - 1
     grew = True
     while grew:
         grew = False
@@ -153,35 +155,38 @@ def _reach_table(g: Digraph, size: int) -> int:
             x = reach[v] | reach[u] & p
             if x != reach[v]:
                 reach[v], grew = x, True
-    return reach[g.t]
+    table = free = reach[g.t] ^ ones
+    for _ in range(1, r):
+        table, last = free | _above(table, n), table
+        if table == last:
+            break
+    return table, size
 
 
 def build_pm(g: Digraph, limit: int = BUILD_EDGE_LIMIT) -> SimplicialComplex:
     """Enumerate the path-missing complex; downward closure is asserted.
     Its faces are the complements of the masks that reach t."""
-    size = _edge_subsets(g, limit)
-    return _complex(g, _positions(_reach_table(g, size), size, msb_first=True))
+    table, size = _free_table(g, 1, limit)
+    return _complex(g, _positions(table ^ ((1 << size) - 1), size, msb_first=True))
 
 
 def build_pf(g: Digraph, limit: int = BUILD_EDGE_LIMIT) -> SimplicialComplex:
     """Enumerate the path-free complex; downward closure is asserted.
     Its faces are the masks that do not reach t."""
-    size = _edge_subsets(g, limit)
-    return _complex(g, _positions(_reach_table(g, size) ^ ((1 << size) - 1), size))
+    return _complex(g, _positions(*_free_table(g, 1, limit)))
 
 
 def build_pm_r(g: Digraph, r: int, limit: int = BUILD_EDGE_LIMIT) -> SimplicialComplex:
     """Edge sets whose complement holds r edge-disjoint s-t-paths."""
     _check_r(r)
-    full, flow = g.full_mask, g._max_flow
-    return _build(g, lambda m: flow(full ^ m, r)[0] >= r, limit)
+    table, size = _free_table(g, r, limit)
+    return _complex(g, _positions(table ^ ((1 << size) - 1), size, msb_first=True))
 
 
 def build_pf_r(g: Digraph, r: int, limit: int = BUILD_EDGE_LIMIT) -> SimplicialComplex:
     """Edge sets holding no r edge-disjoint s-t-paths."""
     _check_r(r)
-    flow = g._max_flow
-    return _build(g, lambda m: flow(m, r)[0] < r, limit)
+    return _complex(g, _positions(*_free_table(g, r, limit)))
 
 
 # -- f-polynomials by one frontier pass --------------------------------------------

@@ -201,6 +201,15 @@ def test_rgen_output(capsys, tmp_path):
     assert code == 0 and out == "chi: 2\nfacets: 3\n"
 
 
+@pytest.mark.parametrize("which, want", [("pm", "chi: 0\nfacets: 0\n"),
+                                         ("pf", "chi: 0\nfacets: 1\n")])
+def test_rgen_past_the_edge_count(capsys, example_path, which, want):
+    # The worked example has 7 edges, so r = 8 already saturates.
+    for r in ("8", "1000000000"):
+        code, out, _ = run(capsys, "rgen", example_path, "-r", r, "--complex", which)
+        assert code == 0 and out == want, r
+
+
 @pytest.mark.parametrize("argv, digest", [
     ((), "dbde750de1c9c52ee9955f49ff71943e68ba1c689e2dd9e07ad0df7c722b75a0"),
     (("--count", "40", "--max-edges", "14", "--seed", "3"),

@@ -19,7 +19,8 @@ from pathcomplexes.pathcomplex import (CASE_EMPTY_EDGE, CASE_GENERIC_ACYCLIC,
                                        sphere)
 from pathcomplexes.polynomial import IntPolynomial
 from pathcomplexes.simplicial import (SimplicialComplex, empty_complex,
-                                      irrelevant_complex, proper_subsets_complex)
+                                      full_simplex, irrelevant_complex,
+                                      proper_subsets_complex)
 from pathcomplexes.verify import (CorpusSpec, double_cycle_graph, edgeless_graph,
                                   example_graph, generate_corpus, loop_graph,
                                   parallel_graph, path_graph)
@@ -105,6 +106,9 @@ def test_edgeless_complexes():
 def test_build_guard():
     with pytest.raises(ResourceLimitError):
         build_pm(example_graph(), limit=3)
+    for build in (build_pm_r, build_pf_r):
+        with pytest.raises(ResourceLimitError):
+            build(parallel_graph(21), 2)
 
 
 def test_builds_match_member_oracles_on_random_multigraphs(multigraphs):
@@ -120,10 +124,19 @@ def test_builds_match_member_oracles_on_random_multigraphs(multigraphs):
 
 
 def test_r_one_reduces_to_plain_complexes(multigraphs):
-    # r = 1 runs the flow oracle once per subset, not the reach table.
+    # The r-builds grow the table by Menger's step; the r-member oracles
+    # run one augmenting-path flow per subset.
     for g in (example_graph(), parallel_graph(3), loop_graph(), path_graph(2), *multigraphs):
         assert build_pm_r(g, 1) == build_pm(g), g
         assert build_pf_r(g, 1) == build_pf(g), g
+    for g in (g for g in multigraphs if len(g.edges) <= 9):
+        subsets = [f for k in range(len(g.edges) + 1) for f in combinations(g.edge_ids, k)]
+        for r in range(1, len(g.edges) + 2):
+            pm, pf = build_pm_r(g, r), build_pf_r(g, r)
+            for f in subsets:
+                mask = g.edge_mask(f)
+                assert (mask in pm.faces) == pm_r_member(g, f, r), (g, f, r)
+                assert (mask in pf.faces) == pf_r_member(g, f, r), (g, f, r)
 
 
 # -- f-polynomials by the frontier pass -----------------------------------------------
@@ -348,6 +361,9 @@ def test_r_membership_on_triple_bundle():
 def test_r_membership_requires_positive_r():
     with pytest.raises(ValueError):
         pm_r_member(parallel_graph(2), frozenset(), 0)
+    for build in (build_pm_r, build_pf_r):
+        with pytest.raises(ValueError):
+            build(parallel_graph(2), 0)
 
 
 def test_r_membership_when_s_equals_t():
@@ -364,6 +380,17 @@ def test_rgen_euler_characteristics():
             chi_pm = build_pm_r(g, r).reduced_euler_characteristic()
             assert chi_pf == (-1) ** r * math.comb(k - 1, r - 1)
             assert chi_pm == (-1) ** (k + r - 1) * math.comb(k - 1, r - 1)
+
+
+def test_rgen_saturates_past_the_edge_count():
+    # No edge set holds more than |E| edge-disjoint paths; with s = t
+    # every edge set holds any number.
+    for g in (example_graph(), parallel_graph(3), loop_graph(), edgeless_graph()):
+        m = len(g.edges)
+        full, empty = full_simplex(g.edge_ids), empty_complex(g.edge_ids)
+        pf, pm = (empty, full) if g.s == g.t else (full, empty)
+        assert build_pf_r(g, m + 1) == build_pf_r(g, 10 ** 9) == pf, g
+        assert build_pm_r(g, m + 1) == build_pm_r(g, 10 ** 9) == pm, g
 
 
 def test_rgen_complexes_are_downward_closed():
