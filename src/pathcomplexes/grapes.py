@@ -17,7 +17,7 @@ from typing import Optional, Union
 
 from .digraph import Digraph
 from .errors import ResourceLimitError
-from .simplicial import SimplicialComplex
+from .simplicial import SimplicialComplex, _patterns
 
 GRAPE_GROUND_LIMIT = 12
 
@@ -83,15 +83,17 @@ def find_cone_witness(link: SimplicialComplex,
 
 def _sandwich_witness(link: SimplicialComplex,
                       deletion: SimplicialComplex) -> Optional[SandwichWitness]:
-    # The link and the deletion share one ground set, hence one bit layout.
-    for i, b in enumerate(deletion.ground):
-        if all(f | 1 << i in deletion.faces for f in link.faces):
-            return SandwichWitness(b, vacuous=not link.faces)
+    # The link and the deletion share one ground set, hence one table layout;
+    # adding b at index i to the link faces lacking it shifts them by 2^i.
+    lk = link.table
+    for i, (b, p) in enumerate(zip(deletion.ground, _patterns(len(deletion.ground)))):
+        if not (lk | lk << (1 << i)) & p & ~deletion.table:
+            return SandwichWitness(b, vacuous=not lk)
     return None
 
 
 def _search(c: SimplicialComplex, side_test, memo) -> Optional[GrapeNode]:
-    key = (c.ground, c.faces)
+    key = (c.ground, c.table)
     if key in memo:
         return memo[key]
     node: Optional[GrapeNode] = None
@@ -120,7 +122,7 @@ def is_strong_grape(c: SimplicialComplex) -> Optional[GrapeCertificate]:
     """Certificate that c is a strong grape, or None after exhaustive search.
 
     Apexes are tried in ground order; results are memoized on the
-    (ground, faces) pair for the duration of one call.
+    (ground, table) pair for the duration of one call.
     """
     _check_ground(len(c.ground))
     return _search(c, find_cone_witness, {})
@@ -150,7 +152,7 @@ def replay_certificate(cert: GrapeNode, c: SimplicialComplex) -> bool:
     elif isinstance(side, SandwichWitness):
         if side.element not in deletion.ground:
             return False
-        bit = deletion.bit(side.element)
+        bit = 1 << deletion.ground.index(side.element)
         if not all(f | bit in deletion.faces for f in link.faces):
             return False
         if side.vacuous != (not link.faces):

@@ -19,12 +19,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Iterable, Optional
+from typing import Optional
 
 from .digraph import Digraph
 from .errors import ResourceLimitError
 from .polynomial import IntPolynomial, poly_divisibility
-from .simplicial import SimplicialComplex, _above, _patterns, _positions
+from .simplicial import SimplicialComplex, _above, _dual, _patterns
 
 BUILD_EDGE_LIMIT = 20
 FRONTIER_STATE_LIMIT = 1 << 15
@@ -122,17 +122,17 @@ def _edge_subsets(g: Digraph, limit: int) -> int:
     return 1 << m
 
 
-def _complex(g: Digraph, faces: Iterable[int]) -> SimplicialComplex:
-    """The complex on ``g.edge_ids`` with the given edge masks (bit i for
-    ``g.edges[i]``) as faces; downward closure is validated on every build."""
-    c = SimplicialComplex(g.edge_ids, frozenset(faces))
+def _complex(g: Digraph, table: int) -> SimplicialComplex:
+    """The complex on ``g.edge_ids`` with the given face table (bit i of a
+    mask for ``g.edges[i]``); downward closure is validated on every build."""
+    c = SimplicialComplex(g.edge_ids, table)
     c.validate()
     return c
 
 
-def _free_table(g: Digraph, r: int, limit: int) -> tuple[int, int]:
+def _free_table(g: Digraph, r: int, limit: int) -> int:
     """The truth table of the edge masks holding fewer than r edge-disjoint
-    s-t-paths (bit x is set iff mask x does) and its size 2^|E|.
+    s-t-paths: bit x is set iff mask x does.
 
     For r = 1 it is the complement of reachability.  Every vertex carries
     the table of the masks that reach it; an edge i = (u, v) adds to v's
@@ -144,7 +144,7 @@ def _free_table(g: Digraph, r: int, limit: int) -> tuple[int, int]:
     """
     size, n = _edge_subsets(g, limit), len(g.edges)
     if g.s == g.t:
-        return 0, size
+        return 0
     arcs = [(u, v, p) for (_, u, v), p in zip(g.edges, _patterns(n)) if u != v]
     reach = dict.fromkeys(g.vertices, 0)
     reach[g.s] = ones = (1 << size) - 1
@@ -160,33 +160,31 @@ def _free_table(g: Digraph, r: int, limit: int) -> tuple[int, int]:
         table, last = free | _above(table, n), table
         if table == last:
             break
-    return table, size
+    return table
 
 
 def build_pm(g: Digraph, limit: int = BUILD_EDGE_LIMIT) -> SimplicialComplex:
     """Enumerate the path-missing complex; downward closure is asserted.
-    Its faces are the complements of the masks that reach t."""
-    table, size = _free_table(g, 1, limit)
-    return _complex(g, _positions(table ^ ((1 << size) - 1), size, msb_first=True))
+    Its faces are the complements of the masks that reach t: the dual table."""
+    return _complex(g, _dual(_free_table(g, 1, limit), len(g.edges)))
 
 
 def build_pf(g: Digraph, limit: int = BUILD_EDGE_LIMIT) -> SimplicialComplex:
     """Enumerate the path-free complex; downward closure is asserted.
     Its faces are the masks that do not reach t."""
-    return _complex(g, _positions(*_free_table(g, 1, limit)))
+    return _complex(g, _free_table(g, 1, limit))
 
 
 def build_pm_r(g: Digraph, r: int, limit: int = BUILD_EDGE_LIMIT) -> SimplicialComplex:
     """Edge sets whose complement holds r edge-disjoint s-t-paths."""
     _check_r(r)
-    table, size = _free_table(g, r, limit)
-    return _complex(g, _positions(table ^ ((1 << size) - 1), size, msb_first=True))
+    return _complex(g, _dual(_free_table(g, r, limit), len(g.edges)))
 
 
 def build_pf_r(g: Digraph, r: int, limit: int = BUILD_EDGE_LIMIT) -> SimplicialComplex:
     """Edge sets holding no r edge-disjoint s-t-paths."""
     _check_r(r)
-    return _complex(g, _positions(*_free_table(g, r, limit)))
+    return _complex(g, _free_table(g, r, limit))
 
 
 # -- f-polynomials by one frontier pass --------------------------------------------

@@ -1,22 +1,22 @@
 """Explicit simplicial complexes over small ground sets.
 
-A face is an ``int`` bitmask over the ordered ground set: bit i stands
-for ``ground[i]``.  Links, deletions and the Alexander dual are bit
-operations, and frozensets of ground elements appear only at the API
-edge (``from_faces`` encodes them; ``facets`` and ``minimal_nonfaces``
-decode).  The empty complex (no faces at all) and the irrelevant complex
-{∅} are distinct values.
-
-Downward closure, facets, the Alexander dual and minimal non-faces read
-the derived ``_table``, the face family as one 2^n-bit int (bit f set iff
-f is a face): against ``_patterns(n)`` each is n shifts and masks of it.
+A complex is its face table: one 2^n-bit int over the n-element ordered
+ground set, whose bit f is set iff the mask f is a face, bit i of f
+standing for ``ground[i]``.  Every operation is a few shifts, masks and
+bit counts of the table against the cached ``_patterns(n)`` (entry i marks
+the masks holding element i) and ``_levels(n)`` (entry k marks the masks
+of k elements).  ``from_faces`` encodes frozensets of ground elements;
+``faces`` decodes the table into masks, and ``facets`` and
+``minimal_nonfaces`` into frozensets.  The empty complex (no faces at all)
+and the irrelevant complex {∅} are distinct values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, reduce
 from itertools import compress
+from operator import or_
 from typing import Iterable, Iterator
 
 from .errors import ResourceLimitError
@@ -48,102 +48,99 @@ def _check_enumeration(n_ground: int):
                                  f"limit of {FACE_ENUMERATION_LIMIT}")
 
 
-@lru_cache(maxsize=None)
+_PATTERNS, _LEVELS = {0: ()}, {0: (1,)}  # n -> _patterns(n), n -> _levels(n)
+
+
 def _patterns(n: int) -> tuple[int, ...]:
     """Entry i is the 2^n-bit int whose bit x is set iff mask x has bit i."""
-    if not n:
-        return ()
-    half = 1 << (n - 1)
-    return (*(p | p << half for p in _patterns(n - 1)), ((1 << half) - 1) << half)
+    _check_enumeration(n)
+    if n not in _PATTERNS:
+        half = 1 << (n - 1)
+        _PATTERNS[n] = (*(p | p << half for p in _patterns(n - 1)), ((1 << half) - 1) << half)
+    return _PATTERNS[n]
+
+
+def _levels(n: int) -> tuple[int, ...]:
+    """Entry k is the 2^n-bit int whose bit x is set iff mask x has k bits."""
+    _check_enumeration(n)
+    if n not in _LEVELS:
+        half, low = 1 << (n - 1), _levels(n - 1)
+        _LEVELS[n] = tuple(a | b << half for a, b in zip((*low, 0), (0, *low)))
+    return _LEVELS[n]
 
 
 _BIT = bytes.maketrans(b"01", b"\0\1")
 
 
-def _positions(x: int, size: int, msb_first: bool = False) -> Iterator[int]:
-    """The set bits of the ``size``-bit int x, ascending.  With
-    ``msb_first`` bit j is reported as size - 1 - j instead, which for a
-    truth table over the subsets of a ground set is the complement mask."""
-    digits = format(x, f"0{size}b").encode()
-    return compress(range(size), (digits if msb_first else digits[::-1]).translate(_BIT))
+def _positions(x: int, size: int) -> Iterator[int]:
+    """The set bits of the ``size``-bit int x, ascending."""
+    return compress(range(size), format(x, f"0{size}b").encode()[::-1].translate(_BIT))
 
 
 def _below(x: int, n: int) -> int:
     """The table of the sets one element short of a set in the table x."""
-    out = 0
-    for i, p in enumerate(_patterns(n)):
-        out |= (x & p) >> (1 << i)
-    return out
+    return reduce(or_, ((x & p) >> (1 << i) for i, p in enumerate(_patterns(n))), 0)
 
 
 def _above(x: int, n: int) -> int:
     """The table of the sets one element more than a set in the table x."""
-    out = 0
-    for i, p in enumerate(_patterns(n)):
-        out |= x << (1 << i) & p
-    return out
+    return reduce(or_, (x << (1 << i) & p for i, p in enumerate(_patterns(n))), 0)
 
 
-def _squeeze(m: int, i: int) -> int:
-    """Drop bit i of m and shift the higher bits down by one."""
-    low = (1 << i) - 1
-    return (m & low) | ((m >> 1) & ~low)
+def _dual(x: int, n: int) -> int:
+    """The table of the complements of the sets missing from the table x:
+    the complement of x read from the top."""
+    _check_enumeration(n)
+    size = 1 << n
+    return int(format(x ^ ((1 << size) - 1), f"0{size}b")[::-1], 2)
 
 
 @dataclass(frozen=True)
 class SimplicialComplex:
     """A downward-closed family of subsets of an ordered ground set.
 
-    ``faces`` holds one bitmask per face, bit i standing for
-    ``ground[i]``.  The ground set may contain elements that appear in no
-    face.  Instances produced by the operations below preserve downward
-    closure; use ``from_faces`` to validate externally supplied families.
+    ``table`` is the family as one 2^n-bit int: bit f is set iff the mask
+    f, bit i standing for ``ground[i]``, is a face.  The ground set may
+    contain elements that appear in no face.  Instances produced by the
+    operations below preserve downward closure; use ``from_faces`` to
+    validate externally supplied families.
     """
 
     ground: tuple[int, ...]
-    faces: frozenset[int]
+    table: int
 
     @classmethod
     def from_faces(cls, ground: Iterable[int],
                    faces: Iterable[Iterable[int]]) -> "SimplicialComplex":
         g = tuple(ground)
+        _check_enumeration(len(g))
         index = {x: 1 << i for i, x in enumerate(g)}
-        masks = set()
+        digits = bytearray(b"0") * (1 << len(g))
         for f in faces:
             f = frozenset(f)
             if not f <= index.keys():
                 raise ValueError(f"face {sorted(f)} leaves the ground set")
-            masks.add(sum(index[x] for x in f))
-        c = cls(g, frozenset(masks))
+            digits[sum(index[x] for x in f)] = 49  # ord("1")
+        c = cls(g, int(digits[::-1], 2))
         c.validate()
         return c
 
     def validate(self):
         if len(set(self.ground)) != len(self.ground):
             raise ValueError("ground set has repeated elements")
-        if any(f >> len(self.ground) for f in self.faces):
+        if self.table >> (1 << len(self.ground)):
             raise ValueError("a face leaves the ground set")
         if not self.is_downward_closed():
             raise ValueError("face family is not downward closed")
 
     def is_downward_closed(self) -> bool:
-        return not _below(self._table, len(self.ground)) & ~self._table
-
-    def bit(self, w: int) -> int:
-        """The one-bit mask standing for ground element w."""
-        try:
-            return 1 << self.ground.index(w)
-        except ValueError:
-            raise ValueError(f"{w} is not a ground element") from None
+        return not _below(self.table, len(self.ground)) & ~self.table
 
     @cached_property
-    def _table(self) -> int:
-        """Bit f is set iff f is a face: the face family as one 2^n-bit int."""
+    def faces(self) -> frozenset[int]:
+        """The face masks, decoded from the table once."""
         _check_enumeration(len(self.ground))
-        digits = bytearray(b"0") * (1 << len(self.ground))
-        for f in self.faces:
-            digits[f] = 49  # ord("1")
-        return int(digits[::-1], 2)
+        return frozenset(_positions(self.table, 1 << len(self.ground)))
 
     def _decode(self, m: int) -> Face:
         return frozenset(x for i, x in enumerate(self.ground) if m >> i & 1)
@@ -152,69 +149,78 @@ class SimplicialComplex:
 
     def is_empty(self) -> bool:
         """True for the complex with no faces at all."""
-        return not self.faces
+        return not self.table
 
     def facets(self) -> list[Face]:
         """Inclusion-maximal faces, in (size, lexicographic) order."""
         # A face below another is one element short of some face, by
         # downward closure; the facets are the faces that are not.
-        x, n = self._table, len(self.ground)
+        x, n = self.table, len(self.ground)
         out = _positions(x & ~_below(x, n), 1 << n)
         return sorted(map(self._decode, out), key=lambda f: (len(f), sorted(f)))
 
     # -- element operations ----------------------------------------------------
 
+    def _at(self, w: int) -> tuple[int, int]:
+        """The index i of ground element w and the pattern of the masks
+        holding it; in the table, adding w to a set is a shift by 2^i."""
+        try:
+            i = self.ground.index(w)
+        except ValueError:
+            raise ValueError(f"{w} is not a ground element") from None
+        return i, _patterns(len(self.ground))[i]
+
+    def _drop(self, i: int, x: int) -> "SimplicialComplex":
+        """The complex on the ground without element i whose table is x, sets
+        lacking i: each later element j moves its bits down by 2^(j-1)."""
+        p = _patterns(len(self.ground))
+        for j in range(i + 1, len(self.ground)):
+            y = x & p[j]
+            x ^= y ^ y >> (1 << (j - 1))
+        return SimplicialComplex(self.ground[:i] + self.ground[i + 1:], x)
+
     def deletion(self, w: int) -> "SimplicialComplex":
         """Faces avoiding w, on the ground set without w."""
-        b = self.bit(w)
-        i = b.bit_length() - 1
-        return SimplicialComplex(self.ground[:i] + self.ground[i + 1:],
-                                 frozenset(_squeeze(f, i) for f in self.faces if not f & b))
+        i, p = self._at(w)
+        return self._drop(i, self.table & ~p)
 
     def link(self, w: int) -> "SimplicialComplex":
         """F with F ∪ {w} a face, on the ground set without w."""
-        b = self.bit(w)
-        i = b.bit_length() - 1
-        return SimplicialComplex(self.ground[:i] + self.ground[i + 1:],
-                                 frozenset(_squeeze(f, i) for f in self.faces if f & b))
+        i, p = self._at(w)
+        return self._drop(i, (self.table & p) >> (1 << i))
 
     def star(self, w: int) -> "SimplicialComplex":
         """Faces whose union with w is still a face; a cone with apex w."""
-        b = self.bit(w)
-        return SimplicialComplex(self.ground,
-                                 frozenset(f for f in self.faces if f | b in self.faces))
+        i, p = self._at(w)
+        up = self.table & p
+        return SimplicialComplex(self.ground, up | self.table & up >> (1 << i))
 
     def is_cone_with_apex(self, w: int) -> bool:
         """True iff adding w to any face yields a face (vacuous when faceless)."""
-        b = self.bit(w)
-        return all(f | b in self.faces for f in self.faces)
+        i, p = self._at(w)
+        return not (self.table & ~p) << (1 << i) & ~self.table
 
     # -- global operations -------------------------------------------------------
 
     def alexander_dual(self) -> "SimplicialComplex":
         """Complements of non-faces: {F : ground \\ F not a face}."""
-        _check_enumeration(len(self.ground))
-        size = 1 << len(self.ground)
-        return SimplicialComplex(self.ground, frozenset(
-            _positions(self._table ^ ((1 << size) - 1), size, msb_first=True)))
+        return SimplicialComplex(self.ground, _dual(self.table, len(self.ground)))
 
     def f_polynomial(self) -> IntPolynomial:
         """Coefficient of x^k counts the faces of size k."""
-        counts = [0] * (len(self.ground) + 1)
-        for f in self.faces:
-            counts[f.bit_count()] += 1
-        return IntPolynomial(counts)
+        return IntPolynomial((self.table & level).bit_count()
+                             for level in _levels(len(self.ground)))
 
     def reduced_euler_characteristic(self) -> int:
         """Alternating face-count sum including the empty face."""
-        return sum(1 if f.bit_count() % 2 else -1 for f in self.faces)
+        return -self.f_polynomial().evaluate(-1)
 
     def suspension(self) -> "SimplicialComplex":
         """Join with two fresh points: faces A ∪ U, U a proper subset of them."""
         fresh = max(self.ground, default=-1) + 1
-        y, z = 1 << len(self.ground), 2 << len(self.ground)
-        faces = {a | u for a in self.faces for u in (0, y, z)}
-        return SimplicialComplex(self.ground + (fresh, fresh + 1), frozenset(faces))
+        t, size = self.table, 1 << len(self.ground)
+        return SimplicialComplex(self.ground + (fresh, fresh + 1),
+                                 t | t << size | t << 2 * size)
 
     def minimal_nonfaces(self) -> list[Face]:
         """Inclusion-minimal subsets of the ground set that are not faces.
@@ -224,15 +230,15 @@ class SimplicialComplex:
         """
         _check_enumeration(len(self.ground))
         n = len(self.ground)
-        nonfaces = self._table ^ ((1 << (1 << n)) - 1)
+        nonfaces = self.table ^ ((1 << (1 << n)) - 1)
         out = _positions(nonfaces & ~_above(nonfaces, n), 1 << n)
         return sorted(map(self._decode, out), key=lambda f: (len(f), sorted(f)))
 
     def codimension(self) -> int:
         """Ground size minus the largest face size."""
-        if not self.faces:
+        if not self.table:
             raise ValueError("codimension needs at least one face")
-        return len(self.ground) - max(f.bit_count() for f in self.faces)
+        return len(self.ground) - self.f_polynomial().degree
 
     # -- homology ------------------------------------------------------------------
 
@@ -243,8 +249,8 @@ class SimplicialComplex:
         the irrelevant complex {∅} has betti(-1) = 1 while the complex with
         no faces has every Betti number zero.
         """
-        if len(self.faces) > FACE_ENUMERATION_LIMIT:
-            raise ResourceLimitError(f"{len(self.faces)} faces exceed the homology "
+        if self.table.bit_count() > FACE_ENUMERATION_LIMIT:
+            raise ResourceLimitError(f"{self.table.bit_count()} faces exceed the homology "
                                      f"limit of {FACE_ENUMERATION_LIMIT}")
         singles = [1 << i for i in range(len(self.ground))]
         by_size: dict[int, list[int]] = {}
@@ -286,17 +292,17 @@ def _gf2_rank(columns: list[int]) -> int:
 
 
 def empty_complex(ground: Iterable[int] = ()) -> SimplicialComplex:
-    return SimplicialComplex(tuple(ground), frozenset())
+    return SimplicialComplex(tuple(ground), 0)
 
 
 def irrelevant_complex(ground: Iterable[int] = ()) -> SimplicialComplex:
     """The complex whose only face is the empty set."""
-    return SimplicialComplex(tuple(ground), frozenset([0]))
+    return SimplicialComplex(tuple(ground), 1)
 
 
 def full_simplex(ground: Iterable[int]) -> SimplicialComplex:
     g = tuple(ground)
-    return SimplicialComplex(g, frozenset(range(1 << len(g))))
+    return SimplicialComplex(g, (1 << (1 << len(g))) - 1)
 
 
 def proper_subsets_complex(ground: Iterable[int]) -> SimplicialComplex:
@@ -304,4 +310,4 @@ def proper_subsets_complex(ground: Iterable[int]) -> SimplicialComplex:
     g = tuple(ground)
     if not g:
         raise ValueError("ground set must be nonempty")
-    return SimplicialComplex(g, frozenset(range((1 << len(g)) - 1)))
+    return SimplicialComplex(g, (1 << (1 << len(g)) - 1) - 1)

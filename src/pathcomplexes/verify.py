@@ -441,7 +441,7 @@ def _chk_chi_pf(ctx: _Ctx):
 def _chk_parity(ctx: _Ctx):
     for (name, c), report in zip(ctx.both(),
                                  (chi_pm_closed(ctx.g), chi_pf_closed(ctx.g))):
-        want = "odd" if len(c.faces) % 2 else "even"
+        want = "odd" if c.table.bit_count() % 2 else "even"
         if report.parity != want:
             return _fail(f"{name}: predicted parity {report.parity}, counted {want}")
     return _PASS

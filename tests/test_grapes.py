@@ -83,6 +83,29 @@ def test_projective_plane_is_not_a_grape():
     assert is_combinatorial_grape(c) is None
 
 
+def test_sandwich_witness_matches_the_face_rule():
+    # The table test against its definition: the first element b such that
+    # every link face with b added is a deletion face.  Pairs are taken both
+    # ways round, so the second complex need not contain the first, and also
+    # with the empty face dropped from the first, which leaves it not closed.
+    def by_faces(link, deletion):
+        for i, b in enumerate(deletion.ground):
+            if all(f | 1 << i in deletion.faces for f in link.faces):
+                return SandwichWitness(b, vacuous=not link.faces)
+        return None
+
+    checked = 0
+    for g in generate_corpus(CorpusSpec(graph_count=120, seed=2)):
+        for c in (build_pm(g), build_pf(g)):
+            for a in c.ground:
+                link, deletion = c.link(a), c.deletion(a)
+                for x, y in ((link, deletion), (deletion, link)):
+                    for z in (x, SimplicialComplex(x.ground, x.table & ~1)):
+                        assert grapes._sandwich_witness(z, y) == by_faces(z, y), (g, a)
+                        checked += 1
+    assert checked > 4000
+
+
 def test_replay_rejects_mismatched_certificates():
     g = example_graph()
     pm = build_pm(g)

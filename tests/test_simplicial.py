@@ -28,9 +28,10 @@ def test_from_faces_validates():
         complex_of((), {3}, ground=(1, 2))  # face outside ground
     with pytest.raises(ValueError):
         complex_of((), {2}, {7}, ground=(5, 2, 9))  # outside an unsorted ground
-    assert not SimplicialComplex((1, 2), frozenset({0b11})).is_downward_closed()
+    # Bit f of a table marks the mask f: the one face here is {1, 2}.
+    assert not SimplicialComplex((1, 2), 1 << 0b11).is_downward_closed()
     # {5, 9} on the ground (5, 2, 9) is bits 0 and 2.
-    assert not SimplicialComplex((5, 2, 9), frozenset({0b101})).is_downward_closed()
+    assert not SimplicialComplex((5, 2, 9), 1 << 0b101).is_downward_closed()
 
 
 def test_empty_and_irrelevant_are_distinct():
@@ -113,6 +114,18 @@ def test_enumeration_guard():
         big.facets()  # the face table spans the subsets too
 
 
+def test_raw_table_guards():
+    # Bit f of the table marks the mask f, so on n ground elements every set
+    # bit lies below 2^n; one at or past it names a face off the ground set.
+    for table in (1 << 4, 0b1111 | 1 << 4, 1 << 100):
+        with pytest.raises(ValueError, match="^a face leaves the ground set$"):
+            SimplicialComplex((1, 2), table).validate()
+    SimplicialComplex((1, 2), 0b1111).validate()
+    with pytest.raises(ResourceLimitError,
+                       match="^2\\^21 subsets exceed the enumeration limit of 1048576$"):
+        SimplicialComplex.from_faces(range(21), [()])
+
+
 def test_f_polynomial():
     two_points = complex_of((), {1}, {2}, ground=(1, 2))
     assert two_points.f_polynomial() == IntPolynomial([1, 2])
@@ -169,12 +182,38 @@ def test_facets():
     assert irrelevant_complex((1,)).facets() == [frozenset()]
 
 
+def face_sets(c):
+    """The faces of c as frozensets of ground elements."""
+    return {frozenset(x for i, x in enumerate(c.ground) if f >> i & 1) for f in c.faces}
+
+
 def check_queries_against_sets(c):
-    """The lattice queries of c, which read its face table, against their
+    """The queries of c, which read its face table, against their
     definitions over frozensets of ground elements."""
     ground = frozenset(c.ground)
-    faces = {frozenset(x for i, x in enumerate(c.ground) if f >> i & 1) for f in c.faces}
+    faces = face_sets(c)
     subsets = [frozenset(s) for k in range(len(ground) + 1) for s in combinations(c.ground, k)]
+    # The element operations and the counts are defined on any family.
+    for w in c.ground:
+        rest = tuple(x for x in c.ground if x != w)
+        lk, dl, st = c.link(w), c.deletion(w), c.star(w)
+        assert lk.ground == dl.ground == rest and st.ground == c.ground
+        assert face_sets(lk) == {f - {w} for f in faces if w in f}
+        assert face_sets(dl) == {f for f in faces if w not in f}
+        assert face_sets(st) == {f for f in faces if f | {w} in faces}
+        assert c.is_cone_with_apex(w) == all(f | {w} in faces for f in faces)
+    sus = c.suspension()
+    y = max(c.ground, default=-1) + 1
+    assert sus.ground == c.ground + (y, y + 1)
+    assert face_sets(sus) == {f | u for f in faces for u in (set(), {y}, {y + 1})}
+    assert c.f_polynomial() == IntPolynomial(sum(len(f) == k for f in faces)
+                                             for k in range(len(ground) + 1))
+    assert c.reduced_euler_characteristic() == sum(1 if len(f) % 2 else -1 for f in faces)
+    if faces:
+        assert c.codimension() == len(ground) - max(map(len, faces))
+    else:
+        with pytest.raises(ValueError):
+            c.codimension()
     assert c.is_downward_closed() == all(f - {x} in faces for f in faces for x in f)
     if not c.is_downward_closed():
         return
@@ -182,8 +221,7 @@ def check_queries_against_sets(c):
     assert set(c.facets()) == {f for f in faces if not any(f | {x} in faces for x in ground - f)}
     dual = c.alexander_dual()
     assert dual.ground == c.ground
-    assert {frozenset(x for i, x in enumerate(c.ground) if f >> i & 1) for f in dual.faces} \
-        == {ground - s for s in subsets if s not in faces}
+    assert face_sets(dual) == {ground - s for s in subsets if s not in faces}
     assert set(c.minimal_nonfaces()) == {s for s in subsets if s not in faces
                                          and all(s - {x} in faces for x in s)}
 
@@ -201,10 +239,11 @@ def test_queries_match_set_definitions():
     ground = (7, 3, 12, 0, 5, 9, 1, 20, 4, 8)
     for _ in range(20):
         tops = [rng.sample(ground, rng.randint(0, 9)) for _ in range(rng.randint(1, 5))]
-        c = complex_of(*(s for t in tops for k in range(len(t) + 1)
-                         for s in combinations(t, k)), ground=ground)
+        family = {frozenset(s) for t in tops for k in range(len(t) + 1) for s in combinations(t, k)}
+        c = complex_of(*family, ground=ground)
+        assert face_sets(c) == family and c.table.bit_count() == len(family)
         check_queries_against_sets(c)
-        broken = SimplicialComplex(c.ground, c.faces - {0}) if len(c.faces) > 1 else c
+        broken = SimplicialComplex(c.ground, c.table & ~1) if len(c.faces) > 1 else c
         check_queries_against_sets(broken)
     check_queries_against_sets(proper_subsets_complex(ground))
 
@@ -263,7 +302,7 @@ def test_corpus_queries_match_set_definitions(corpus_complexes):
     for name, c in corpus_complexes:
         check_queries_against_sets(c)
         if len(c.faces) > 1:  # without the empty face, a family is not closed
-            check_queries_against_sets(SimplicialComplex(c.ground, c.faces - {0}))
+            check_queries_against_sets(SimplicialComplex(c.ground, c.table & ~1))
 
 
 def test_corpus_dual_involution(corpus_complexes):
