@@ -155,12 +155,7 @@ class Digraph:
     def delete_edge(self, e: int) -> "Digraph":
         """Remove edge e; vertices and the s, t roles are unchanged."""
         self._require_edge(e)
-        keep = [i for i, (eid, _, _) in enumerate(self.edges) if eid != e]
-        labels = None
-        if self.edge_labels is not None:
-            labels = tuple(self.edge_labels[i] for i in keep)
-        return Digraph(self.vertices, tuple(self.edges[i] for i in keep),
-                       self.s, self.t, labels)
+        return self.subgraph(eid for eid in self.edge_ids if eid != e)
 
     def contract_edge(self, e: int) -> "Digraph":
         """Identify the endpoints of e and drop e itself.
@@ -458,6 +453,8 @@ class Digraph:
         root with an empty ``back`` closes only its self-loops.  Cycles
         come as the search finds them, so a caller can stop early.
         """
+        if self._cycle is None:
+            return
         vindex = {v: i for i, v in enumerate(self.vertices)}
         out, inc = self._out, self._in
         comp = self._strong_components

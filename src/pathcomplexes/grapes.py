@@ -4,10 +4,10 @@ Both classes are defined by peeling one ground element a at a time: the
 link and the deletion at a must again be grapes, plus a side condition.
 For strong grapes at least one of link/deletion must be a cone; for
 combinatorial grapes some cone must sit between them.  Recognition
-returns an explicit certificate tree that can be replayed step by step
-against the complex.  For the two complexes of a digraph the peeling can
-follow the edges out of s, walking the edge-deleted and edge-contracted
-graphs alongside their complexes.
+returns a certificate tree that replay re-checks on face tables: a sandwich
+at b needs L - b inside lk_D(b), for the closed link L and the deletion D.
+For a digraph's two complexes the peeling can follow the edges out of s,
+walking the edge-deleted and edge-contracted graphs alongside.
 """
 
 from __future__ import annotations
@@ -150,12 +150,10 @@ def replay_certificate(cert: GrapeNode, c: SimplicialComplex) -> bool:
         if side.apex not in child.ground or not child.is_cone_with_apex(side.apex):
             return False
     elif isinstance(side, SandwichWitness):
-        if side.element not in deletion.ground:
+        b = side.element
+        if b not in deletion.ground or link.deletion(b).table & ~deletion.link(b).table:
             return False
-        bit = 1 << deletion.ground.index(side.element)
-        if not all(f | bit in deletion.faces for f in link.faces):
-            return False
-        if side.vacuous != (not link.faces):
+        if side.vacuous != link.is_empty():
             return False
     else:
         return False

@@ -6,13 +6,13 @@ For a graph with distinguished vertices s and t:
 * the path-missing complex holds the subsets whose removal still leaves
   an s-t-path.
 
-Both are built here explicitly, from one truth table of reachability over
-the edge subsets.  One frontier pass counts the path-missing
-f-polynomial, and Alexander duality gives the path-free one.  Closed forms
-give their reduced Euler characteristics and sphere/contractible
-classification, and powers of (1+x) are checked to divide the
-f-polynomials.  The r-edge-disjoint generalization grows the same table by
-Menger's theorem, one step per r.
+Both are built here explicitly, as truth tables of reachability over the
+edge subsets, the path-free one from s and the path-missing one from t.
+One frontier pass counts the path-missing f-polynomial, and Alexander
+duality gives the path-free one.  A closed form finds each complex empty,
+contractible or a sphere, and its reduced Euler characteristic follows
+from the class; powers of (1+x) are checked to divide the f-polynomials.
+The r-edge-disjoint complexes grow the path-free table by Menger's theorem.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Optional
 from .digraph import Digraph
 from .errors import ResourceLimitError
 from .polynomial import IntPolynomial, poly_divisibility
-from .simplicial import SimplicialComplex, _above, _dual, _patterns
+from .simplicial import SimplicialComplex, _above, _dual, _patterns, _reverse
 
 BUILD_EDGE_LIMIT = 20
 FRONTIER_STATE_LIMIT = 1 << 15
@@ -113,13 +113,13 @@ def pf_r_member(g: Digraph, f, r: int) -> bool:
 # -- explicit construction ------------------------------------------------------
 
 
-def _edge_subsets(g: Digraph, limit: int) -> int:
-    """2^|E|, the number of edge masks a build decides; over ``limit``
+def _edge_count(g: Digraph, limit: int) -> int:
+    """|E|, for a build that decides all 2^|E| edge masks; over ``limit``
     edges raise ``ResourceLimitError``."""
     m = len(g.edges)
     if m > limit:
         raise ResourceLimitError(f"{m} edges exceed the enumeration limit of {limit}")
-    return 1 << m
+    return m
 
 
 def _complex(g: Digraph, table: int) -> SimplicialComplex:
@@ -130,24 +130,11 @@ def _complex(g: Digraph, table: int) -> SimplicialComplex:
     return c
 
 
-def _free_table(g: Digraph, r: int, limit: int) -> int:
-    """The truth table of the edge masks holding fewer than r edge-disjoint
-    s-t-paths: bit x is set iff mask x does.
-
-    For r = 1 it is the complement of reachability.  Every vertex carries
-    the table of the masks that reach it; an edge i = (u, v) adds to v's
-    the masks of u's that hold edge i, over at most |V| rounds until no
-    table grows.  By Menger's theorem a mask holds fewer than r paths iff
-    it holds none, or dropping one of its edges leaves fewer than r - 1:
-    each further r is one ``_above`` step, until the table stops growing
-    (at r = |E| + 1 at the latest).  With s = t no mask is in the table.
-    """
-    size, n = _edge_subsets(g, limit), len(g.edges)
-    if g.s == g.t:
-        return 0
-    arcs = [(u, v, p) for (_, u, v), p in zip(g.edges, _patterns(n)) if u != v]
+def _fixpoint(g: Digraph, root, arcs: list) -> dict:
+    """Vertex -> the table of the edge masks over which ``root`` reaches it along
+    ``arcs``, (u, v, edge pattern) triples: at most |V| rounds of arc steps."""
     reach = dict.fromkeys(g.vertices, 0)
-    reach[g.s] = ones = (1 << size) - 1
+    reach[root] = (1 << (1 << len(g.edges))) - 1
     grew = True
     while grew:
         grew = False
@@ -155,7 +142,22 @@ def _free_table(g: Digraph, r: int, limit: int) -> int:
             x = reach[v] | reach[u] & p
             if x != reach[v]:
                 reach[v], grew = x, True
-    table = free = reach[g.t] ^ ones
+    return reach
+
+
+def _free_table(g: Digraph, r: int, limit: int) -> int:
+    """The truth table of the edge masks holding fewer than r edge-disjoint
+    s-t-paths: bit x is set iff mask x does.
+
+    For r = 1 it is the complement of t's table in the fixpoint from s
+    along the edges.  By Menger's theorem a mask holds fewer than r paths iff
+    it holds none, or dropping one of its edges leaves fewer than r - 1:
+    each further r is one ``_above`` step, until the table stops growing
+    (at r = |E| + 1 at the latest).  With s = t no mask is in the table.
+    """
+    n = _edge_count(g, limit)
+    arcs = [(u, v, p) for (_, u, v), p in zip(g.edges, _patterns(n)) if u != v]
+    table = free = _fixpoint(g, g.s, arcs)[g.t] ^ ((1 << (1 << n)) - 1)
     for _ in range(1, r):
         table, last = free | _above(table, n), table
         if table == last:
@@ -165,8 +167,10 @@ def _free_table(g: Digraph, r: int, limit: int) -> int:
 
 def build_pm(g: Digraph, limit: int = BUILD_EDGE_LIMIT) -> SimplicialComplex:
     """Enumerate the path-missing complex; downward closure is asserted.
-    Its faces are the complements of the masks that reach t: the dual table."""
-    return _complex(g, _dual(_free_table(g, 1, limit), len(g.edges)))
+    Its faces complement the masks over which s reaches t, found from t's end."""
+    n = _edge_count(g, limit)
+    arcs = [(v, u, p) for (_, u, v), p in zip(g.edges, _patterns(n)) if u != v]
+    return _complex(g, _reverse(_fixpoint(g, g.t, arcs[::-1])[g.s], n))
 
 
 def build_pf(g: Digraph, limit: int = BUILD_EDGE_LIMIT) -> SimplicialComplex:
@@ -269,8 +273,15 @@ def fpoly_pf_dc(g: Digraph) -> IntPolynomial:
 # -- closed-form Euler characteristics ------------------------------------------------
 
 
-def _parity(value: int) -> str:
-    return "odd" if value % 2 else "even"
+def _chi(g: Digraph, h: HomotopyClass) -> ChiReport:
+    """(-1)^d when h, the class of a complex of g, is a d-sphere, else 0; an
+    edgeless g is its own case, save the path-missing {∅} of s = t."""
+    value = 1 - 2 * (h.dim % 2) if h.kind == "sphere" else 0
+    if h.kind == "sphere" and (g.edges or g.s == g.t):
+        case = CASE_GENERIC_ACYCLIC
+    else:
+        case = CASE_USELESS_OR_CYCLE if g.edges else CASE_EMPTY_EDGE
+    return ChiReport(value, case, "odd" if value % 2 else "even")
 
 
 def _cycle_or_useless(g: Digraph) -> bool:
@@ -286,12 +297,7 @@ def chi_pm_closed(g: Digraph) -> ChiReport:
     edgeless graph with s != t; otherwise (-1)^(|E| - |V'| + 1) where V'
     is the set of nonsinks.
     """
-    if _cycle_or_useless(g):
-        return ChiReport(0, CASE_USELESS_OR_CYCLE, "even")
-    if not g.edges and g.s != g.t:
-        return ChiReport(0, CASE_EMPTY_EDGE, "even")
-    value = (-1) ** (len(g.edges) - len(g.nonsinks()) + 1)
-    return ChiReport(value, CASE_GENERIC_ACYCLIC, _parity(value))
+    return _chi(g, homotopy_pm(g))
 
 
 def chi_pf_closed(g: Digraph) -> ChiReport:
@@ -301,13 +307,7 @@ def chi_pf_closed(g: Digraph) -> ChiReport:
     face) and 0 when s = t (no faces).  With edges present the value is 0
     under a cycle or useless edge and (-1)^|V'| otherwise.
     """
-    if not g.edges:
-        value = -1 if g.s != g.t else 0
-        return ChiReport(value, CASE_EMPTY_EDGE, _parity(value))
-    if _cycle_or_useless(g):
-        return ChiReport(0, CASE_USELESS_OR_CYCLE, "even")
-    value = (-1) ** len(g.nonsinks())
-    return ChiReport(value, CASE_GENERIC_ACYCLIC, _parity(value))
+    return _chi(g, homotopy_pf(g))
 
 
 # -- homotopy classification ---------------------------------------------------------

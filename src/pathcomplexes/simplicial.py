@@ -87,12 +87,16 @@ def _above(x: int, n: int) -> int:
     return reduce(or_, (x << (1 << i) & p for i, p in enumerate(_patterns(n))), 0)
 
 
+def _reverse(x: int, n: int) -> int:
+    """The 2^n-bit int x read from the top: bit f moves to bit 2^n - 1 - f."""
+    _check_enumeration(n)
+    return int(format(x, f"0{1 << n}b")[::-1], 2)
+
+
 def _dual(x: int, n: int) -> int:
     """The table of the complements of the sets missing from the table x:
     the complement of x read from the top."""
-    _check_enumeration(n)
-    size = 1 << n
-    return int(format(x ^ ((1 << size) - 1), f"0{size}b")[::-1], 2)
+    return _reverse(x, n) ^ ((1 << (1 << n)) - 1)
 
 
 @dataclass(frozen=True)

@@ -260,6 +260,21 @@ def test_packing_two_vertex_disjoint_cycles():
         used |= qc.edges
 
 
+def test_acyclic_graphs_skip_the_cycle_listing():
+    # With no cycle witness there is nothing to list: neither the strongly
+    # connected components nor the backward scans are computed.
+    n = 6
+    v = lambda i, j: f"g{i}_{j}"
+    grid = Digraph.build([v(i, j) for i in range(n) for j in range(n)],
+                         [(v(i, j), v(i + di, j + dj)) for i in range(n) for j in range(n)
+                          for di, dj in ((0, 1), (1, 0)) if i + di < n and j + dj < n],
+                         v(0, 0), v(n - 1, n - 1))
+    for g in (path_graph(50), grid):
+        assert g.max_disjoint_quasi_cycles() == (0, ())
+        assert g.quasi_cycles() == []
+        assert "_strong_components" not in vars(g)
+
+
 def test_packing_on_double_cycle_fixture():
     assert double_cycle_graph().max_disjoint_quasi_cycles()[0] == 2
 

@@ -83,18 +83,26 @@ def test_projective_plane_is_not_a_grape():
     assert is_combinatorial_grape(c) is None
 
 
-def test_sandwich_witness_matches_the_face_rule():
+def test_sandwich_witness_matches_the_face_rule(monkeypatch):
     # The table test against its definition: the first element b such that
     # every link face with b added is a deletion face.  Pairs are taken both
     # ways round, so the second complex need not contain the first, and also
     # with the empty face dropped from the first, which leaves it not closed.
+    # On the closed pairs, replay's verdict on each element is held to the
+    # same rule: a fresh apex -1 puts x under y as link over deletion, and
+    # the children are accepted, so only the sandwich step decides.
+    def rule(link, deletion, i):
+        return all(f | 1 << i in deletion.faces for f in link.faces)
+
     def by_faces(link, deletion):
         for i, b in enumerate(deletion.ground):
-            if all(f | 1 << i in deletion.faces for f in link.faces):
+            if rule(link, deletion, i):
                 return SandwichWitness(b, vacuous=not link.faces)
         return None
 
-    checked = 0
+    replay = grapes.replay_certificate
+    monkeypatch.setattr(grapes, "replay_certificate", lambda cert, c: True)
+    checked = replayed = 0
     for g in generate_corpus(CorpusSpec(graph_count=120, seed=2)):
         for c in (build_pm(g), build_pf(g)):
             for a in c.ground:
@@ -103,7 +111,14 @@ def test_sandwich_witness_matches_the_face_rule():
                     for z in (x, SimplicialComplex(x.ground, x.table & ~1)):
                         assert grapes._sandwich_witness(z, y) == by_faces(z, y), (g, a)
                         checked += 1
-    assert checked > 4000
+                    above = SimplicialComplex((*x.ground, -1),
+                                              y.table | x.table << (1 << len(x.ground)))
+                    for i, b in enumerate(x.ground):
+                        cert = Split(-1, BaseCase(()), BaseCase(()),
+                                     SandwichWitness(b, vacuous=not x.faces))
+                        assert replay(cert, above) == rule(x, y, i), (g, a, b)
+                        replayed += 1
+    assert checked > 4000 and replayed > 8000
 
 
 def test_replay_rejects_mismatched_certificates():
@@ -120,6 +135,39 @@ def test_replay_rejects_mismatched_certificates():
     forged = Split(cert.apex, cert.link_child, cert.deletion_child,
                    ConeWitness("link", 99))
     assert not replay_certificate(forged, pm)
+
+
+def test_replay_rejects_forged_side_conditions():
+    # Each forgery keeps the valid children and its element on the ground
+    # set, so only the side-condition test can reject it.
+    pm = build_pm(example_graph())
+    cert = is_strong_grape(pm)
+    assert isinstance(cert, Split) and replay_certificate(cert, pm)
+    link, deletion = pm.link(cert.apex), pm.deletion(cert.apex)
+
+    def forge(side):
+        return Split(cert.apex, cert.link_child, cert.deletion_child, side)
+
+    for name, child in (("link", link), ("deletion", deletion)):
+        not_apexes = [w for w in child.ground if not child.is_cone_with_apex(w)]
+        assert not_apexes
+        for w in not_apexes:
+            assert not replay_certificate(forge(ConeWitness(name, w)), pm), (name, w)
+    failing = [b for i, b in enumerate(deletion.ground)
+               if not all(f | 1 << i in deletion.faces for f in link.faces)]
+    assert failing and link.faces
+    for b in failing:
+        assert not replay_certificate(forge(SandwichWitness(b)), pm), b
+    # A sandwich step whose vacuous flag is flipped, on a nonempty link and
+    # on an empty one.
+    for c in (pm, irrelevant_complex((1, 2))):
+        comb = is_combinatorial_grape(c)
+        assert isinstance(comb.side_condition, SandwichWitness)
+        assert replay_certificate(comb, c)
+        side = comb.side_condition
+        flipped = SandwichWitness(side.element, vacuous=not side.vacuous)
+        assert not replay_certificate(
+            Split(comb.apex, comb.link_child, comb.deletion_child, flipped), c)
 
 
 def test_ground_limit_guard():

@@ -296,6 +296,23 @@ def test_chi_closed_matches_brute_force_on_samples():
         assert chi_pf_closed(g).value == build_pf(g).reduced_euler_characteristic()
 
 
+# sha256 of repr() of the list of (value, case tag, parity, homotopy class)
+# for pm, then pf, of each graph of the corpus below, recorded when the closed
+# forms still carried their own case analysis.
+CLOSED_FORMS_SHA256 = "ea9e05fdfe641e043ddf50efb5f8f340d06a7b52411708bb9bf2d9ff1453e701"
+
+
+def test_closed_forms_are_pinned():
+    rows = []
+    for g in generate_corpus(CorpusSpec(1500, max_vertices=7, max_edges=14, seed=9)):
+        for chi, homotopy in ((chi_pm_closed, homotopy_pm), (chi_pf_closed, homotopy_pf)):
+            report = chi(g)
+            rows.append((report.value, report.case_tag, report.parity, homotopy(g).describe()))
+    assert len(rows) == 2 * 1514
+    assert all(type(row[0]) is int for row in rows)
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == CLOSED_FORMS_SHA256
+
+
 # -- homotopy classification --------------------------------------------------------------
 
 

@@ -1,6 +1,6 @@
 import re
 
-from pathcomplexes import grapes
+from pathcomplexes import cli, grapes, pathcomplex, simplicial
 from pathcomplexes.digraph import Digraph
 from pathcomplexes.graphio import format_graph, parse_graph
 from pathcomplexes.verify import (CHECK_MANIFEST, CorpusSpec, SplitMix64,
@@ -158,3 +158,16 @@ def test_failure_payload_format():
     assert len(payloads) == 1
     assert payloads[0].startswith("FAIL graph 3 check chi-pm-closed-form: boom\n")
     assert "vertex s" in payloads[0]
+
+
+def test_dual_checks_fail_when_the_dual_is_wrong(monkeypatch, tmp_path, capsys):
+    # The path-missing build reads its own table, from t's end, so a broken
+    # Alexander dual must show in both duality checks.
+    for module in (simplicial, pathcomplex):
+        monkeypatch.setattr(module, "_dual", lambda x, n: (1 << (1 << n)) - 1)
+    path = tmp_path / "example.graph"
+    path.write_text(format_graph(example_graph()))
+    assert cli.main(["dual-check", str(path)]) == 1
+    assert capsys.readouterr().out == "dual-check: FAILED\n"
+    outcomes = {o.check_id: o.status for o in run_all_checks(example_graph())}
+    assert outcomes["pf-pm-alexander-dual"] == "fail"
