@@ -10,6 +10,7 @@ hash order.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from pathlib import Path
 
@@ -277,6 +278,7 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = _parse_plain(argv) or build_parser().parse_args(argv)
+    gc.freeze()  # start-up objects outlive the command: keep its collections off them
     try:
         return args.fn(args)
     except ValueError as exc:  # GraphParseError among them
@@ -290,6 +292,8 @@ def main(argv=None) -> int:
         traceback.print_exc()
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4
+    finally:
+        gc.unfreeze()
 
 
 if __name__ == "__main__":

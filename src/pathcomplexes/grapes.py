@@ -135,30 +135,32 @@ def is_combinatorial_grape(c: SimplicialComplex) -> Optional[GrapeCertificate]:
 
 
 def replay_certificate(cert: GrapeNode, c: SimplicialComplex) -> bool:
-    """Re-verify every step of a certificate against the complex."""
+    """Re-verify every step of a certificate against the complex; a subtree
+    that the search memo shares is replayed once per complex."""
+    return _replay(cert, c, {})
+
+
+def _replay(cert: GrapeNode, c: SimplicialComplex, memo) -> bool:
     if isinstance(cert, BaseCase):
         return cert.ground == c.ground and len(c.ground) <= 1
-    if not isinstance(cert, Split):
+    if not isinstance(cert, Split) or cert.apex not in c.ground:
         return False
-    if cert.apex not in c.ground:
-        return False
-    link = c.link(cert.apex)
-    deletion = c.deletion(cert.apex)
-    side = cert.side_condition
-    if isinstance(side, ConeWitness):
-        child = link if side.side == "link" else deletion
-        if side.apex not in child.ground or not child.is_cone_with_apex(side.apex):
-            return False
-    elif isinstance(side, SandwichWitness):
-        b = side.element
-        if b not in deletion.ground or link.deletion(b).table & ~deletion.link(b).table:
-            return False
-        if side.vacuous != link.is_empty():
-            return False
-    else:
-        return False
-    return (replay_certificate(cert.link_child, link)
-            and replay_certificate(cert.deletion_child, deletion))
+    key = (id(cert), c.ground, c.table)
+    if key not in memo:
+        link, deletion = c.link(cert.apex), c.deletion(cert.apex)
+        side = cert.side_condition
+        if isinstance(side, ConeWitness):
+            child = link if side.side == "link" else deletion
+            ok = side.apex in child.ground and child.is_cone_with_apex(side.apex)
+        elif isinstance(side, SandwichWitness):
+            b = side.element
+            ok = (b in deletion.ground and not link.deletion(b).table & ~deletion.link(b).table
+                  and side.vacuous == link.is_empty())
+        else:
+            ok = False
+        memo[key] = (ok and _replay(cert.link_child, link, memo)
+                     and _replay(cert.deletion_child, deletion, memo))
+    return memo[key]
 
 
 # -- graph-guided certificates ------------------------------------------------------

@@ -6,9 +6,9 @@ standing for ``ground[i]``.  Every operation is a few shifts, masks and
 bit counts of the table against the cached ``_patterns(n)`` (entry i marks
 the masks holding element i) and ``_levels(n)`` (entry k marks the masks
 of k elements).  ``from_faces`` encodes frozensets of ground elements;
-``faces`` decodes the table into masks, and ``facets`` and
-``minimal_nonfaces`` into frozensets.  The empty complex (no faces at all)
-and the irrelevant complex {∅} are distinct values.
+``faces`` decodes the table into masks (here only for the elimination
+fallback of homology), ``facets`` and ``minimal_nonfaces`` into frozensets.
+The empty complex (no faces) and the irrelevant complex {∅} are distinct.
 """
 
 from __future__ import annotations
@@ -247,34 +247,54 @@ class SimplicialComplex:
     # -- homology ------------------------------------------------------------------
 
     def gf2_reduced_betti(self) -> BettiVector:
-        """Reduced Betti numbers over GF(2) from boundary-matrix ranks.
+        """Reduced Betti numbers over GF(2), the empty face in degree -1.
 
-        The chain complex is augmented: the empty face spans degree -1, so
-        the irrelevant complex {∅} has betti(-1) = 1 while the complex with
-        no faces has every Betti number zero.
+        Each unmatched face F lacking i pairs with F ∪ {i} if unmatched, for each
+        element i in turn: an acyclic matching (Jonsson, *Simplicial Complexes of
+        Graphs*, LNM 1928, 2008, ch. 4).  By discrete Morse theory (Forman, Adv.
+        Math. 1998), if no two consecutive degrees hold unmatched faces, betti(d)
+        counts those in degree d; else the reversed order, then elimination.
         """
         if self.table.bit_count() > FACE_ENUMERATION_LIMIT:
             raise ResourceLimitError(f"{self.table.bit_count()} faces exceed the homology "
                                      f"limit of {FACE_ENUMERATION_LIMIT}")
-        singles = [1 << i for i in range(len(self.ground))]
-        by_size: dict[int, list[int]] = {}
-        for f in self.faces:
-            by_size.setdefault(f.bit_count(), []).append(f)
+        n = len(self.ground)
+        for order in (range(n), range(n - 1, -1, -1)):
+            critical = _critical_counts(self.table, n, order)
+            if not any(a and b for a, b in zip(critical, critical[1:])):
+                return BettiVector.from_dict({k - 1: c for k, c in enumerate(critical)})
+        return _betti_by_elimination(self)
 
-        def boundary_rank(size: int) -> int:
-            # Rank of the map sending a size-k face to the sum of its
-            # (k-1)-subsets, as bitmask columns over GF(2).
-            if size not in by_size or (size - 1) not in by_size:
-                return 0
-            rows = {f: 1 << i for i, f in enumerate(by_size[size - 1])}
-            return _gf2_rank([sum(rows[f ^ b] for b in singles if f & b)
-                              for f in by_size[size]])
 
-        max_size = max(by_size, default=0)  # size = dimension + 1
-        rank = [boundary_rank(size) for size in range(max_size + 2)]
-        betti = {size - 1: len(by_size.get(size, ())) - rank[size] - rank[size + 1]
-                 for size in range(max_size + 1)}
-        return BettiVector.from_dict(betti)
+def _critical_counts(table: int, n: int, order: Iterable[int]) -> list[int]:
+    """Faces per size left unmatched by the element matchings in ``order``."""
+    p, r = _patterns(n), table
+    for i in order:
+        lower = r & ~p[i] & (r & p[i]) >> (1 << i)
+        r ^= lower | lower << (1 << i)
+    return [(r & level).bit_count() for level in _levels(n)]
+
+
+def _betti_by_elimination(c: SimplicialComplex) -> BettiVector:
+    """``gf2_reduced_betti`` by boundary-matrix ranks of the decoded faces."""
+    singles = [1 << i for i in range(len(c.ground))]
+    by_size: dict[int, list[int]] = {}
+    for f in c.faces:
+        by_size.setdefault(f.bit_count(), []).append(f)
+
+    def boundary_rank(size: int) -> int:
+        # Rank of the map sending a size-k face to the sum of its
+        # (k-1)-subsets, as bitmask columns over GF(2).
+        if size not in by_size or (size - 1) not in by_size:
+            return 0
+        rows = {f: 1 << i for i, f in enumerate(by_size[size - 1])}
+        return _gf2_rank([sum(rows[f ^ b] for b in singles if f & b)
+                          for f in by_size[size]])
+
+    max_size = max(by_size, default=0)  # size = dimension + 1
+    rank = [boundary_rank(size) for size in range(max_size + 2)]
+    return BettiVector.from_dict({size - 1: len(by_size.get(size, ())) - rank[size]
+                                  - rank[size + 1] for size in range(max_size + 1)})
 
 
 def _gf2_rank(columns: list[int]) -> int:

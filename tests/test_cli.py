@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import hashlib
 import importlib
 import io
@@ -488,6 +489,23 @@ def test_plain_parse_takes_documented_and_benchmarked_forms(monkeypatch):
               for _, commands in plan for cmd, *opts in commands]
     for argv in forms:
         assert assert_plain_agrees(argv) is not None, argv
+
+
+def test_commands_run_with_start_up_objects_frozen(capsys, example_path, monkeypatch):
+    # The collections a command triggers skip the objects that were alive
+    # when it started; main unfreezes them on every exit path.
+    frozen = []
+    real = cli.chi_pm_closed
+
+    def spy(g):
+        frozen.append(gc.get_freeze_count())
+        return real(g)
+
+    monkeypatch.setattr(cli, "chi_pm_closed", spy)
+    assert run(capsys, "chi", example_path, "--complex", "pm")[0] == 0
+    assert frozen and frozen[0] > 1000 and gc.get_freeze_count() == 0
+    assert run(capsys, "chi", example_path + ".missing", "--complex", "pm")[0] == 2
+    assert gc.get_freeze_count() == 0
 
 
 def test_deterministic_output(capsys, example_path):

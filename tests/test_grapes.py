@@ -3,6 +3,7 @@ from itertools import combinations
 import pytest
 
 from pathcomplexes import grapes
+from pathcomplexes.digraph import Digraph
 from pathcomplexes.errors import ResourceLimitError
 from pathcomplexes.grapes import (BaseCase, ConeWitness, SandwichWitness,
                                   Split, is_combinatorial_grape,
@@ -100,8 +101,8 @@ def test_sandwich_witness_matches_the_face_rule(monkeypatch):
                 return SandwichWitness(b, vacuous=not link.faces)
         return None
 
-    replay = grapes.replay_certificate
-    monkeypatch.setattr(grapes, "replay_certificate", lambda cert, c: True)
+    replay = grapes._replay
+    monkeypatch.setattr(grapes, "_replay", lambda cert, c, memo: True)
     checked = replayed = 0
     for g in generate_corpus(CorpusSpec(graph_count=120, seed=2)):
         for c in (build_pm(g), build_pf(g)):
@@ -116,9 +117,50 @@ def test_sandwich_witness_matches_the_face_rule(monkeypatch):
                     for i, b in enumerate(x.ground):
                         cert = Split(-1, BaseCase(()), BaseCase(()),
                                      SandwichWitness(b, vacuous=not x.faces))
-                        assert replay(cert, above) == rule(x, y, i), (g, a, b)
+                        assert replay(cert, above, {}) == rule(x, y, i), (g, a, b)
                         replayed += 1
     assert checked > 4000 and replayed > 8000
+
+
+def grid_graph(rows: int, cols: int) -> Digraph:
+    """Right and down edges of a rows x cols grid, corner to corner."""
+    name = lambda i, j: f"g{i}_{j}"
+    edges = [(name(i, j), name(i + di, j + dj))
+             for i in range(rows) for j in range(cols)
+             for di, dj in ((0, 1), (1, 0)) if i + di < rows and j + dj < cols]
+    vertices = [name(i, j) for i in range(rows) for j in range(cols)]
+    return Digraph.build(vertices, edges, name(0, 0), name(rows - 1, cols - 1))
+
+
+def test_replay_visits_each_shared_node_once(monkeypatch):
+    # The search memo shares subtrees, so the 3x3 grid's strong certificate
+    # for pm is a DAG with far more paths than distinct nodes.  Replay must
+    # take one link and one deletion per distinct (node, complex) split.
+    c = build_pm(grid_graph(3, 3))
+    cert = is_strong_grape(c)
+    paths, splits = 0, set()
+
+    def walk(node, sub):
+        nonlocal paths
+        paths += 1
+        if isinstance(node, Split):
+            splits.add((id(node), sub.ground, sub.table))
+            walk(node.link_child, sub.link(node.apex))
+            walk(node.deletion_child, sub.deletion(node.apex))
+
+    walk(cert, c)
+    assert paths > 10 * len(splits)
+    calls = {"link": 0, "deletion": 0}
+    for name in calls:
+        original = getattr(SimplicialComplex, name)
+
+        def counted(self, w, name=name, original=original):
+            calls[name] += 1
+            return original(self, w)
+
+        monkeypatch.setattr(SimplicialComplex, name, counted)
+    assert replay_certificate(cert, c)
+    assert calls == {"link": len(splits), "deletion": len(splits)}
 
 
 def test_replay_rejects_mismatched_certificates():

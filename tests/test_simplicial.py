@@ -277,6 +277,79 @@ def test_gf2_betti_guard(monkeypatch):
         full_simplex(range(4)).gf2_reduced_betti()
 
 
+def test_gf2_betti_matches_elimination_on_corpus_complexes():
+    # Every pm and pf complex of a corpus with up to 12 edges, against the
+    # boundary-matrix elimination that the matchings fall back to.
+    spec = CorpusSpec(graph_count=300, max_vertices=7, max_edges=12, seed=3)
+    complexes = [build(g) for g in generate_corpus(spec) for build in (build_pm, build_pf)]
+    assert max(len(c.ground) for c in complexes) == 12
+    for c in complexes:
+        assert c.gf2_reduced_betti() == simplicial._betti_by_elimination(c), c
+
+
+def random_closed_complex(rng):
+    """The downward closure of a few random sets on at most 8 elements."""
+    n = rng.randint(0, 8)
+    quarter = lambda: rng.getrandbits(n) & rng.getrandbits(n)  # each element with chance 1/4
+    table = 0
+    for _ in range(rng.randint(0, 10)):
+        top = sub = quarter() | quarter()
+        while True:
+            table |= 1 << sub
+            if not sub:
+                break
+            sub = (sub - 1) & top
+    return SimplicialComplex(tuple(range(n)), table)
+
+
+def test_gf2_betti_matches_elimination_on_random_complexes(monkeypatch):
+    eliminate = simplicial._betti_by_elimination
+    fallbacks = []
+    monkeypatch.setattr(simplicial, "_betti_by_elimination",
+                        lambda c: fallbacks.append(c) or eliminate(c))
+    rng = random.Random(18)
+    for _ in range(3000):
+        c = random_closed_complex(rng)
+        c.validate()
+        assert c.gf2_reduced_betti() == eliminate(c), c
+    # Both the matchings and the fallback decided some of them.
+    assert 0 < len(fallbacks) < 300
+
+
+def test_worked_example_needs_the_reversed_order(monkeypatch):
+    # In the ground order the critical cells of pm sit at sizes 2 and 3 and
+    # those of pf at sizes 3 and 4; in the reversed order none is left, so
+    # both complexes are decided without elimination.
+    g = example_graph()
+    for c, ground_order in ((build_pm(g), [0, 0, 1, 1, 0, 0, 0, 0]),
+                            (build_pf(g), [0, 0, 0, 1, 1, 0, 0, 0])):
+        n = len(c.ground)
+        assert simplicial._critical_counts(c.table, n, range(n)) == ground_order
+        assert simplicial._critical_counts(c.table, n, reversed(range(n))) == [0] * (n + 1)
+
+    def refuse(c):
+        raise AssertionError("elimination ran")
+
+    monkeypatch.setattr(simplicial, "_betti_by_elimination", refuse)
+    assert build_pm(g).gf2_reduced_betti().entries == ()
+    assert build_pf(g).gf2_reduced_betti().entries == ()
+
+
+def test_undecided_complex_falls_back_to_elimination(monkeypatch):
+    # The triangle boundary plus an isolated point: both orders leave
+    # critical cells in two consecutive degrees.
+    c = complex_of((), {0}, {1}, {2}, {3}, {0, 1}, {0, 2}, {1, 2}, ground=(0, 1, 2, 3))
+    for order in (range(4), reversed(range(4))):
+        critical = simplicial._critical_counts(c.table, 4, order)
+        assert any(a and b for a, b in zip(critical, critical[1:]))
+    eliminate = simplicial._betti_by_elimination
+    fallbacks = []
+    monkeypatch.setattr(simplicial, "_betti_by_elimination",
+                        lambda c: fallbacks.append(c) or eliminate(c))
+    assert c.gf2_reduced_betti().entries == ((0, 1), (1, 1))
+    assert fallbacks == [c]
+
+
 def test_betti_vector_alternating_sum():
     for c in (proper_subsets_complex(range(4)), irrelevant_complex((1,)),
               build_pm(example_graph())):
