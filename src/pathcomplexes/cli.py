@@ -1,10 +1,10 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 check failure, 2 usage or parse error,
-3 resource guard tripped or recursion or memory exhausted, 4 internal
-error (its traceback goes to stderr).  All output is deterministic:
-facets, edge lists and certificates are ordered by edge index, never by
-hash order.
+Exit codes: 0 success, 1 check failure or stdout closed early, 2 usage
+or parse error, 3 resource guard tripped or recursion or memory
+exhausted, 4 internal error (its traceback goes to stderr).  All output
+is deterministic: facets, edge lists and certificates are ordered by
+edge index, never by hash order.
 """
 
 from __future__ import annotations
@@ -114,27 +114,42 @@ def _cmd_divis(args) -> int:
     return 0
 
 
-def _format_certificate(node: GrapeNode, labels: dict[int, str],
-                        indent: int = 0) -> list[str]:
-    pad = "  " * indent
+def _format_certificate(cert: GrapeNode, labels: dict[int, str]) -> str:
+    """The certificate as lines without a trailing newline, one node per
+    line, indented two spaces per level, link child before deletion child.
 
+    The search memo shares subtrees, so the certificate is a DAG; the
+    printout still repeats a shared subtree in full wherever it occurs.
+    Each distinct (node, depth) block is formatted once, keyed on the
+    node's id as in ``grapes._replay``, and reused by every occurrence.
+    """
     def name(x: int) -> str:
         return labels.get(x, str(x))
 
-    if isinstance(node, BaseCase):
-        return [f"{pad}base {{{' '.join(name(x) for x in node.ground)}}}"]
-    side = node.side_condition
-    if isinstance(side, ConeWitness):
-        cond = f"cone={side.side} cone-apex={name(side.apex)}"
-    else:
-        assert isinstance(side, SandwichWitness)
-        cond = f"sandwich={name(side.element)}"
-        if side.vacuous:
-            cond += " vacuous"
-    lines = [f"{pad}split apex={name(node.apex)} {cond}"]
-    lines += _format_certificate(node.link_child, labels, indent + 1)
-    lines += _format_certificate(node.deletion_child, labels, indent + 1)
-    return lines
+    memo: dict[tuple[int, int], str] = {}
+
+    def block(node: GrapeNode, indent: int) -> str:
+        key = (id(node), indent)
+        if key not in memo:
+            pad = "  " * indent
+            if isinstance(node, BaseCase):
+                text = f"{pad}base {{{' '.join(name(x) for x in node.ground)}}}"
+            else:
+                side = node.side_condition
+                if isinstance(side, ConeWitness):
+                    cond = f"cone={side.side} cone-apex={name(side.apex)}"
+                else:
+                    assert isinstance(side, SandwichWitness)
+                    cond = f"sandwich={name(side.element)}"
+                    if side.vacuous:
+                        cond += " vacuous"
+                text = "\n".join((f"{pad}split apex={name(node.apex)} {cond}",
+                                  block(node.link_child, indent + 1),
+                                  block(node.deletion_child, indent + 1)))
+            memo[key] = text
+        return memo[key]
+
+    return block(cert, 0)
 
 
 def _cmd_grape(args) -> int:
@@ -142,11 +157,7 @@ def _cmd_grape(args) -> int:
     _check_ground(len(g.edges))  # before the 2^|E| build
     recognize = is_strong_grape if args.mode == "strong" else is_combinatorial_grape
     cert = recognize(_build(g, args.complex))
-    if cert is None:
-        print("not-a-grape")
-    else:
-        for line in _format_certificate(cert, g.label_map()):
-            print(line)
+    print("not-a-grape" if cert is None else _format_certificate(cert, g.label_map()))
     return 0
 
 
@@ -278,22 +289,41 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = _parse_plain(argv) or build_parser().parse_args(argv)
-    gc.freeze()  # start-up objects outlive the command: keep its collections off them
+    # Start-up objects outlive the command: keep its collections off them.
+    # A caller that froze objects itself keeps its own freeze as it was.
+    freeze = gc.get_freeze_count() == 0
+    if freeze:
+        gc.freeze()
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # so that a closed stdout shows up here, not at exit
+        return code
     except ValueError as exc:  # GraphParseError among them
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ResourceLimitError, RecursionError, MemoryError) as exc:
         print(f"resource limit: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        # The reader closed stdout early (`| head`).  Point fd 1 at devnull,
+        # as Python's signal docs advise, so the final flush stays silent.
+        import os
+        try:
+            fd = sys.stdout.fileno()
+        except (OSError, ValueError):  # an in-memory stream has no descriptor
+            return 1
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
+        return 1
     except Exception as exc:
         import traceback  # here, so that commands that succeed skip the import
         traceback.print_exc()
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4
     finally:
-        gc.unfreeze()
+        if freeze:
+            gc.unfreeze()
 
 
 if __name__ == "__main__":

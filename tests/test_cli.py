@@ -16,8 +16,12 @@ from pathcomplexes import cli
 from pathcomplexes.cli import COMMANDS, _parse_plain, build_parser, main
 from pathcomplexes.digraph import Digraph
 from pathcomplexes.errors import GraphParseError
+from pathcomplexes.grapes import (BaseCase, ConeWitness, SandwichWitness, Split,
+                                  is_combinatorial_grape, is_strong_grape)
 from pathcomplexes.graphio import format_graph, parse_graph
-from pathcomplexes.verify import (example_graph, parallel_graph, path_graph)
+from pathcomplexes.pathcomplex import build_pf, build_pm
+from pathcomplexes.verify import (CorpusSpec, double_cycle_graph, example_graph,
+                                  generate_corpus, parallel_graph, path_graph)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -316,15 +320,21 @@ def test_large_grid_analyze(capsys, tmp_path):
                          "shortest-path-length: 58"]
 
 
+def cycle_ladder(rungs: int) -> Digraph:
+    """c0..c<rungs>, each step a 2-cycle: forward edge f<i>, backward b<i>."""
+    names = [f"c{i}" for i in range(rungs + 1)]
+    edges, labels = [], []
+    for i in range(rungs):
+        edges += [(names[i], names[i + 1]), (names[i + 1], names[i])]
+        labels += [f"f{i}", f"b{i}"]
+    return Digraph.build(names, edges, names[0], names[-1], labels)
+
+
 def test_cycle_ladder_analyze(capsys, tmp_path):
     # Each rung is a 2-cycle; the only s-t-path runs forward, so every
     # backward edge is useless, and those 20 singletons pack disjointly.
     names = [f"c{i}" for i in range(21)]
-    edges, labels = [], []
-    for i in range(20):
-        edges += [(names[i], names[i + 1]), (names[i + 1], names[i])]
-        labels += [f"f{i}", f"b{i}"]
-    g = Digraph.build(names, edges, "c0", "c20", labels)
+    g = cycle_ladder(20)
     code, out, _ = run(capsys, "analyze", write_graph(tmp_path, g))
     assert code == 0
     assert out == ("cycle: yes\n"
@@ -346,6 +356,131 @@ def test_grid_with_loop_analyze(capsys, tmp_path):
                    "quasi-cycle-packing: 1\n"
                    "min-cut: 2\n"
                    "shortest-path-length: 22\n")
+
+
+# -- grape certificates ----------------------------------------------------------------
+
+
+def reference_certificate_lines(node, labels, indent=0):
+    """The certificate printout by a plain tree walk: a shared subtree is
+    formatted again at every occurrence."""
+    pad = "  " * indent
+
+    def name(x):
+        return labels.get(x, str(x))
+
+    if isinstance(node, BaseCase):
+        return [f"{pad}base {{{' '.join(name(x) for x in node.ground)}}}"]
+    side = node.side_condition
+    if isinstance(side, ConeWitness):
+        cond = f"cone={side.side} cone-apex={name(side.apex)}"
+    else:
+        assert isinstance(side, SandwichWitness)
+        cond = f"sandwich={name(side.element)}"
+        if side.vacuous:
+            cond += " vacuous"
+    lines = [f"{pad}split apex={name(node.apex)} {cond}"]
+    lines += reference_certificate_lines(node.link_child, labels, indent + 1)
+    lines += reference_certificate_lines(node.deletion_child, labels, indent + 1)
+    return lines
+
+
+def grape_stdout(capsys, path, which, mode):
+    code, out, err = run(capsys, "grape", path, "--complex", which, "--mode", mode)
+    assert (code, err) == (0, "")
+    return out
+
+
+def test_grape_stdout_matches_tree_walk(capsys, tmp_path):
+    graphs = [example_graph(), double_cycle_graph(), grid_graph(3, 3), cycle_ladder(6)]
+    graphs += generate_corpus(CorpusSpec(graph_count=40, max_vertices=6, max_edges=12, seed=19))
+    splits = 0
+    for g in graphs:
+        assert len(g.edges) <= 12
+        path = write_graph(tmp_path, g)
+        for which, mode in itertools.product(("pm", "pf"), ("strong", "combinatorial")):
+            c = build_pm(g) if which == "pm" else build_pf(g)
+            cert = (is_strong_grape if mode == "strong" else is_combinatorial_grape)(c)
+            want = ("not-a-grape" if cert is None else
+                    "\n".join(reference_certificate_lines(cert, g.label_map())))
+            assert grape_stdout(capsys, path, which, mode) == want + "\n", (g, which, mode)
+            splits += isinstance(cert, Split)
+    assert splits > 100
+
+
+@pytest.mark.parametrize("which, mode, digest", [
+    ("pm", "strong", "9cce835b534a2122c045d94b880d9925112eaae4c3c55e7810d3347a4edf2a6b"),
+    ("pm", "combinatorial", "0f22cfa37aea1832da1513c230c88e14db58b6f6770a896845ddd3a37585d328"),
+    ("pf", "strong", "f4188fcdca2bb364598f140f275bc4aeba74b323657abcb9fac37bc7c5ee30a3"),
+    ("pf", "combinatorial", "5620b8aa3984fb86a6b99268596d625d29305e645aa9835415a5f9d5c8873536"),
+])
+def test_grid_grape_stdout_is_pinned(capsys, tmp_path, which, mode, digest):
+    # The 12-edge 3x3 grid prints a full binary tree of 4,095 lines.
+    out = grape_stdout(capsys, write_graph(tmp_path, grid_graph(3, 3)), which, mode)
+    assert out.count("\n") == 4095
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_certificate_formats_each_shared_block_once():
+    # The search memo shares subtrees, so the 3x3 grid's certificate is a
+    # DAG with far more paths than distinct (node, depth) pairs.  Every
+    # label is looked up while a block is built, so the lookups count the
+    # blocks built: a split names its apex and its witness, a base case
+    # each ground element.
+    g = grid_graph(3, 3)
+    cert = is_combinatorial_grape(build_pm(g))
+    paths, blocks = 0, {}
+
+    def walk(node, indent):
+        nonlocal paths
+        paths += 1
+        blocks[id(node), indent] = len(node.ground) if isinstance(node, BaseCase) else 2
+        if isinstance(node, Split):
+            walk(node.link_child, indent + 1)
+            walk(node.deletion_child, indent + 1)
+
+    walk(cert, 0)
+    assert paths > 10 * len(blocks)
+
+    lookups = 0
+
+    class CountingLabels(dict):
+        def get(self, key, default=None):
+            nonlocal lookups
+            lookups += 1
+            return super().get(key, default)
+
+    text = cli._format_certificate(cert, CountingLabels(g.label_map()))
+    assert text == "\n".join(reference_certificate_lines(cert, g.label_map()))
+    assert lookups == sum(blocks.values())
+
+
+def test_closed_stdout_exits_1_silently(tmp_path):
+    # The 3x3 grid's certificate (170 KB) outgrows a 64 KB pipe buffer, so
+    # the write fails once the reader has gone; chi's one line fails at
+    # main's flush when the reader is gone before the process starts.  The
+    # child's stdout is block-buffered, as a console script's pipe is.
+    path = write_graph(tmp_path, grid_graph(3, 3))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(ROOT / "src")
+    entry = [sys.executable, "-c",
+             "import sys; from pathcomplexes.cli import main; sys.exit(main())"]
+    proc = subprocess.Popen(entry + ["grape", path, "--complex", "pm"], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"split apex=0 cone=link cone-apex=2\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (1, b"")
+
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(entry + ["chi", path, "--complex", "pm"], env=env,
+                              stdout=write_end, stderr=subprocess.PIPE, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (1, b"")
 
 
 def test_usage_error_exits_2(capsys):
@@ -506,6 +641,19 @@ def test_commands_run_with_start_up_objects_frozen(capsys, example_path, monkeyp
     assert frozen and frozen[0] > 1000 and gc.get_freeze_count() == 0
     assert run(capsys, "chi", example_path + ".missing", "--complex", "pm")[0] == 2
     assert gc.get_freeze_count() == 0
+
+
+def test_callers_freeze_is_left_as_found(capsys, example_path):
+    gc.freeze()
+    try:
+        before = gc.get_freeze_count()
+        assert before > 1000
+        assert run(capsys, "chi", example_path, "--complex", "pm")[0] == 0
+        assert gc.get_freeze_count() == before
+        assert run(capsys, "chi", example_path + ".missing", "--complex", "pm")[0] == 2
+        assert gc.get_freeze_count() == before
+    finally:
+        gc.unfreeze()
 
 
 def test_deterministic_output(capsys, example_path):
