@@ -308,12 +308,8 @@ def main(argv=None) -> int:
         # The reader closed stdout early (`| head`).  Point fd 1 at devnull,
         # as Python's signal docs advise, so the final flush stays silent.
         import os
-        try:
-            fd = sys.stdout.fileno()
-        except (OSError, ValueError):  # an in-memory stream has no descriptor
-            return 1
         devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, fd)
+        os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 1
     except Exception as exc:
