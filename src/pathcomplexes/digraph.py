@@ -8,8 +8,9 @@ the interpreter's recursion limit.  Exponential searches are confined by
 exact reductions: cycle enumeration and the useless-edge path search only
 enter strongly connected components, and the packing drops dominated
 quasi-cycles and packs each conflict component on its own.  The
-whole-graph queries (reachability, the cycle witness, the strongly
-connected components, the useless edges) are computed once per graph.
+whole-graph queries (reachability, the useless edges, and the strongly
+connected components with the cycle witness, both found by one
+depth-first search) are computed once per graph.
 
 Graphs are immutable; deletion and contraction return new graphs and never
 renumber the surviving edge ids, so edge subsets remain comparable between
@@ -166,20 +167,13 @@ class Digraph:
         a self-loop is the same as deleting it.
         """
         u, v = self._require_edge(e)
+        g = self.delete_edge(e)
         if u == v:
-            return self.delete_edge(e)
-        vertices = tuple(w for w in self.vertices if w != v)
-        keep = [i for i, (eid, _, _) in enumerate(self.edges) if eid != e]
-        edges = tuple(
-            (eid, u if a == v else a, u if b == v else b)
-            for eid, a, b in (self.edges[i] for i in keep)
-        )
-        labels = None
-        if self.edge_labels is not None:
-            labels = tuple(self.edge_labels[i] for i in keep)
-        s = u if self.s == v else self.s
-        t = u if self.t == v else self.t
-        return Digraph(vertices, edges, s, t, labels)
+            return g
+        merge = lambda w: u if w == v else w
+        return Digraph(tuple(w for w in g.vertices if w != v),
+                       tuple((eid, merge(a), merge(b)) for eid, a, b in g.edges),
+                       merge(g.s), merge(g.t), g.edge_labels)
 
     def subgraph(self, edge_ids) -> "Digraph":
         """Restriction to a subset of edges (vertices and s, t kept)."""
@@ -304,38 +298,11 @@ class Digraph:
 
         Self-loops count as cycles.  Vertices are tried in declaration
         order, so the answer is deterministic: the first edge that leads
-        back onto the search stack closes the witness.  The search keeps
-        an explicit stack of neighbour iterators, and runs once per graph.
+        back onto the search path closes the witness.  The witness comes
+        from the one search that also finds the strongly connected
+        components, which runs once per graph.
         """
-        return self._cycle
-
-    @cached_property
-    def _cycle(self) -> Optional[Walk]:
-        """The witness ``find_cycle`` returns."""
-        out = self._out
-        state: dict = {}  # vertex -> its index on the search stack, -1 once done
-        for root in self.vertices:
-            if root in state:
-                continue
-            state[root] = 0
-            vseq, eseq = [root], []
-            frames = [iter(out[root])]
-            while frames:
-                for eid, w in frames[-1]:
-                    i = state.get(w)
-                    if i is None:
-                        state[w] = len(vseq)
-                        vseq.append(w)
-                        eseq.append(eid)
-                        frames.append(iter(out[w]))
-                        break
-                    if i >= 0:
-                        return Walk((*vseq[i:], w), (*eseq[i:], eid))
-                else:
-                    frames.pop()
-                    state[vseq.pop()] = -1
-                    del eseq[-1:]
-        return None
+        return self._components_and_cycle[1]
 
     def nonsinks(self) -> frozenset:
         """Vertices with at least one outgoing edge."""
@@ -357,7 +324,7 @@ class Digraph:
         such path extends to an s-t-path that way.  So only edges inside
         a component need a search, and it stays inside that component;
         it is still exponential in the component's size.  An acyclic
-        graph needs neither the components nor a search.
+        graph needs no search.
         """
         return self._useless
 
@@ -366,9 +333,9 @@ class Digraph:
         """The edge set ``useless_edges`` returns."""
         fwd, bwd = self._reachable_from_s, self._coreachable_to_t
         useless = self._useless_by_reach
-        if self._cycle is None:
+        comp, cycle = self._components_and_cycle
+        if cycle is None:
             return useless
-        comp = self._strong_components
         inside = defaultdict(set)  # component -> its undecided edges
         entries, exits = defaultdict(set), defaultdict(set)
         entries[comp[self.s]].add(self.s)
@@ -403,16 +370,19 @@ class Digraph:
                          if u == v or u not in fwd or v not in bwd or v == s or u == t)
 
     @cached_property
-    def _strong_components(self) -> dict:
+    def _components_and_cycle(self) -> tuple[dict, Optional[Walk]]:
         """Vertex -> a label shared by exactly the vertices of its strongly
-        connected component (Tarjan, with an explicit stack of neighbour
-        iterators), computed once per graph.  An open vertex holds the
-        lowest visit order it reaches; closing a component relabels it
-        ``n`` + its root's visit order."""
+        connected component, and the ``find_cycle`` witness, from one
+        depth-first search (Tarjan, with an explicit stack of neighbour
+        iterators) run once per graph.  An open vertex holds the lowest
+        visit order it reaches; closing a component relabels it ``n`` +
+        its root's visit order.  The first edge onto a vertex still on the
+        search path closes the witness."""
         out = self._out
         n = len(self.vertices)
         low: dict = {}
         pending: list = []  # visited vertices whose component is still open
+        cycle = None
         for root in self.vertices:
             if root in low:
                 continue
@@ -427,6 +397,13 @@ class Digraph:
                         frames.append((w, low[w], iter(out[w])))
                         pending.append(w)
                         break
+                    if cycle is None and low[w] < n:
+                        # Until a cycle closes, every component closes as one
+                        # vertex, so ``pending`` is the search path, and each
+                        # step along it took the first edge to its next vertex.
+                        vs = (*pending[pending.index(w):], w)
+                        cycle = Walk(vs, tuple(next(e for e, x in out[a] if x == b)
+                                               for a, b in zip(vs, vs[1:])))
                     if low[w] < low[v]:
                         low[v] = low[w]
                 else:
@@ -439,7 +416,7 @@ class Digraph:
                                 break
                     elif low[v] < low[frames[-1][0]]:
                         low[frames[-1][0]] = low[v]
-        return low
+        return low, cycle
 
     def _simple_cycle_edge_sets(self) -> Iterator[frozenset[int]]:
         """Yield the edge set of every simple cycle, each once.
@@ -453,11 +430,11 @@ class Digraph:
         root with an empty ``back`` closes only its self-loops.  Cycles
         come as the search finds them, so a caller can stop early.
         """
-        if self._cycle is None:
+        comp, cycle = self._components_and_cycle
+        if cycle is None:
             return
         vindex = {v: i for i, v in enumerate(self.vertices)}
         out, inc = self._out, self._in
-        comp = self._strong_components
         for start in self.vertices:
             base, label = vindex[start], comp[start]
             back: set = set()

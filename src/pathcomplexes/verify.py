@@ -27,7 +27,7 @@ from .errors import ResourceLimitError
 from .graphio import format_graph
 from .grapes import (is_combinatorial_grape, is_strong_grape, replay_certificate,
                      source_apex_strong_certificate)
-from .pathcomplex import (build_pf, build_pf_r, build_pm, build_pm_r,
+from .pathcomplex import (BUILD_EDGE_LIMIT, build_pf, build_pf_r, build_pm, build_pm_r,
                           check_divisibility, chi_pf_closed, chi_pm_closed,
                           fpoly_pf_dc, fpoly_pm_dc, homotopy_pf, homotopy_pm)
 from .simplicial import SimplicialComplex
@@ -152,8 +152,8 @@ def generate_corpus(spec: CorpusSpec) -> list[Digraph]:
     """Fixture battery first, then ``graph_count`` random graphs."""
     if spec.max_edges < 0 or spec.max_vertices < 1 or spec.graph_count < 0:
         raise ValueError("corpus spec out of range")
-    if spec.max_edges > 20:
-        raise ValueError("max_edges beyond the enumeration guard of 20")
+    if spec.max_edges > BUILD_EDGE_LIMIT:
+        raise ValueError(f"max_edges beyond the enumeration guard of {BUILD_EDGE_LIMIT}")
     graphs = fixture_battery()
     rng = SplitMix64(spec.seed)
     for _ in range(spec.graph_count):

@@ -23,6 +23,8 @@ from pathcomplexes.pathcomplex import build_pf, build_pm
 from pathcomplexes.verify import (CorpusSpec, double_cycle_graph, example_graph,
                                   generate_corpus, parallel_graph, path_graph)
 
+from families import grid_graph
+
 ROOT = Path(__file__).resolve().parents[1]
 
 EXAMPLE_FILE = """\
@@ -270,16 +272,6 @@ def test_resource_guard_exits_3(capsys, monkeypatch, tmp_path):
 
 
 # -- long and large graphs, at the default recursion limit -------------------------
-
-
-def grid_graph(rows: int, cols: int) -> Digraph:
-    """Right and down edges of a rows x cols grid, corner to corner."""
-    name = lambda i, j: f"g{i}_{j}"
-    edges = [(name(i, j), name(i + di, j + dj))
-             for i in range(rows) for j in range(cols)
-             for di, dj in ((0, 1), (1, 0)) if i + di < rows and j + dj < cols]
-    vertices = [name(i, j) for i in range(rows) for j in range(cols)]
-    return Digraph.build(vertices, edges, name(0, 0), name(rows - 1, cols - 1))
 
 
 def test_long_path_queries(capsys, tmp_path):

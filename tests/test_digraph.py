@@ -12,6 +12,8 @@ from pathcomplexes.verify import (CorpusSpec, double_cycle_graph,
                                   generate_corpus, loop_graph, parallel_graph,
                                   path_graph)
 
+from families import bidirected_grid, grid_graph
+
 
 def edge_names(g, ids):
     labels = g.label_map()
@@ -200,7 +202,12 @@ def test_cycles_match_networkx():
         assert len(got) == len(want) and set(got) == set(want)
         cycle = g.find_cycle()
         assert (cycle is None) == nx.is_directed_acyclic_graph(simple)
-        assert cycle is None or cycle.edge_set() in set(got)
+        if cycle is not None:
+            assert cycle.edge_set() in set(got)
+            vs = cycle.vertices
+            # A closed walk: it ends where it starts and repeats no other vertex.
+            assert vs[0] == vs[-1] and len(set(vs[1:])) == len(vs) - 1
+            assert [g.edge_by_id[e] for e in cycle.edges] == list(zip(vs, vs[1:]))
 
 
 def test_nonsinks():
@@ -260,19 +267,24 @@ def test_packing_two_vertex_disjoint_cycles():
         used |= qc.edges
 
 
-def test_acyclic_graphs_skip_the_cycle_listing():
-    # With no cycle witness there is nothing to list: neither the strongly
-    # connected components nor the backward scans are computed.
-    n = 6
-    v = lambda i, j: f"g{i}_{j}"
-    grid = Digraph.build([v(i, j) for i in range(n) for j in range(n)],
-                         [(v(i, j), v(i + di, j + dj)) for i in range(n) for j in range(n)
-                          for di, dj in ((0, 1), (1, 0)) if i + di < n and j + dj < n],
-                         v(0, 0), v(n - 1, n - 1))
-    for g in (path_graph(50), grid):
+def test_acyclic_graphs_skip_the_cycle_listing(monkeypatch):
+    # With no cycle witness there is nothing to list: no backward scan
+    # starts a simple-walk search.
+    walks = Digraph._simple_walks
+    calls = 0
+
+    def counted(self, *args):
+        nonlocal calls
+        calls += 1
+        return walks(self, *args)
+
+    monkeypatch.setattr(Digraph, "_simple_walks", counted)
+    for g in (path_graph(50), grid_graph(6, 6)):
         assert g.max_disjoint_quasi_cycles() == (0, ())
         assert g.quasi_cycles() == []
-        assert "_strong_components" not in vars(g)
+    assert calls == 0
+    # The count is live: a graph with cycles does search.
+    assert double_cycle_graph().quasi_cycles() and calls > 0
 
 
 def test_packing_on_double_cycle_fixture():
@@ -315,17 +327,6 @@ def test_packing_guard_counts_quasi_cycles_before_reductions():
     with pytest.raises(ResourceLimitError,
                        match="^65 quasi-cycles exceed the packing limit of 64$"):
         g.max_disjoint_quasi_cycles()
-
-
-def bidirected_grid(n: int) -> Digraph:
-    """An n x n grid with both directions of every edge, corner to corner:
-    one strongly connected component with exponentially many cycles."""
-    name = lambda i, j: f"g{i}_{j}"
-    pairs = [(name(i, j), name(i + di, j + dj)) for i in range(n) for j in range(n)
-             for di, dj in ((0, 1), (1, 0)) if i + di < n and j + dj < n]
-    edges = [e for u, v in pairs for e in ((u, v), (v, u))]
-    vertices = [name(i, j) for i in range(n) for j in range(n)]
-    return Digraph.build(vertices, edges, name(0, 0), name(n - 1, n - 1))
 
 
 def test_packing_guard_stops_at_the_first_cycle_past_the_limit(monkeypatch):

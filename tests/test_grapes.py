@@ -3,7 +3,6 @@ from itertools import combinations
 import pytest
 
 from pathcomplexes import grapes
-from pathcomplexes.digraph import Digraph
 from pathcomplexes.errors import ResourceLimitError
 from pathcomplexes.grapes import (BaseCase, ConeWitness, SandwichWitness,
                                   Split, is_combinatorial_grape,
@@ -15,6 +14,8 @@ from pathcomplexes.simplicial import (SimplicialComplex, empty_complex,
 from pathcomplexes.verify import (CorpusSpec, double_cycle_graph,
                                   example_graph, fixture_battery,
                                   generate_corpus, parallel_graph)
+
+from families import grid_graph
 
 
 def projective_plane():
@@ -120,16 +121,6 @@ def test_sandwich_witness_matches_the_face_rule(monkeypatch):
                         assert replay(cert, above, {}) == rule(x, y, i), (g, a, b)
                         replayed += 1
     assert checked > 4000 and replayed > 8000
-
-
-def grid_graph(rows: int, cols: int) -> Digraph:
-    """Right and down edges of a rows x cols grid, corner to corner."""
-    name = lambda i, j: f"g{i}_{j}"
-    edges = [(name(i, j), name(i + di, j + dj))
-             for i in range(rows) for j in range(cols)
-             for di, dj in ((0, 1), (1, 0)) if i + di < rows and j + dj < cols]
-    vertices = [name(i, j) for i in range(rows) for j in range(cols)]
-    return Digraph.build(vertices, edges, name(0, 0), name(rows - 1, cols - 1))
 
 
 def test_replay_visits_each_shared_node_once(monkeypatch):
