@@ -14,7 +14,16 @@ depth-first search) are computed once per graph.
 
 Graphs are immutable; deletion and contraction return new graphs and never
 renumber the surviving edge ids, so edge subsets remain comparable between
-a graph and its minors.
+a graph and its minors.  The public constructor checks every invariant of
+a graph.  ``Digraph._trusted`` builds one without those checks; only code
+that has already established them calls it: the file parser, which checks
+each line as it reads it, and the minors of an already valid graph.
+
+Every query walks one cached adjacency of (position, neighbour) pairs, in
+edge-id order, where position i is ``edges[i]``.  An edge mask is an int
+whose bit i stands for that edge; -1 holds every edge.  Flows and
+reachability under a mask index edges by position, with a flow state of
+one byte per edge, so no per-edge int is as wide as the edge count.
 """
 
 from __future__ import annotations
@@ -90,6 +99,15 @@ class Digraph:
             raise ValueError("edge_labels must align with edges")
 
     @classmethod
+    def _trusted(cls, vertices: tuple, edges: tuple, s, t,
+                 edge_labels: Optional[tuple]) -> "Digraph":
+        """The graph with these fields, without ``__post_init__``'s checks:
+        for callers that already hold every invariant (module docstring)."""
+        g = object.__new__(cls)
+        vars(g).update(vertices=vertices, edges=edges, s=s, t=t, edge_labels=edge_labels)
+        return g
+
+    @classmethod
     def build(cls, vertices: Sequence, edges: Sequence[tuple], s, t,
               labels: Optional[Sequence[str]] = None) -> "Digraph":
         """Construct from (source, target) pairs, assigning ids 0,1,2,..."""
@@ -108,36 +126,23 @@ class Digraph:
         return {eid: (u, v) for eid, u, v in self.edges}
 
     @cached_property
-    def _out(self) -> dict:
-        """Out-adjacency: vertex -> tuple of (edge_id, target), id-ascending."""
+    def _position(self) -> dict[int, int]:
+        """Edge id -> its position in ``edges``, the edge's bit in a mask."""
+        return {eid: i for i, (eid, _, _) in enumerate(self.edges)}
+
+    @cached_property
+    def _adj(self) -> tuple[dict, dict]:
+        """Out- and in-adjacency, every query's view of the edges: vertex ->
+        list of (position, neighbour), id-ascending, built in one loop.
+        ``edge_ids[position]`` is the edge's id; shared, never mutated."""
+        edges = self.edges
         out: dict = {v: [] for v in self.vertices}
-        for eid, u, v in sorted(self.edges):
-            out[u].append((eid, v))
-        return {v: tuple(es) for v, es in out.items()}
-
-    @cached_property
-    def _in(self) -> dict:
         inc: dict = {v: [] for v in self.vertices}
-        for eid, u, v in sorted(self.edges):
-            inc[v].append((eid, u))
-        return {v: tuple(es) for v, es in inc.items()}
-
-    @cached_property
-    def edge_bits(self) -> dict[int, int]:
-        """Edge id -> its bit in an edge mask: bit i stands for ``edges[i]``."""
-        return {eid: 1 << i for i, (eid, _, _) in enumerate(self.edges)}
-
-    @cached_property
-    def full_mask(self) -> int:
-        """The edge mask holding every edge."""
-        return (1 << len(self.edges)) - 1
-
-    @cached_property
-    def _bit_adj(self) -> tuple[dict, dict]:
-        """``_out`` and ``_in`` with each edge id replaced by its bit."""
-        bit = self.edge_bits
-        return tuple({v: tuple((bit[e], w) for e, w in es) for v, es in adj.items()}
-                     for adj in (self._out, self._in))
+        for i in sorted(range(len(edges)), key=self.edge_ids.__getitem__):
+            _, u, v = edges[i]
+            out[u].append((i, v))
+            inc[v].append((i, u))
+        return out, inc
 
     def label_map(self) -> dict[int, str]:
         """Edge id -> display label (falls back to the decimal id)."""
@@ -171,22 +176,22 @@ class Digraph:
         if u == v:
             return g
         merge = lambda w: u if w == v else w
-        return Digraph(tuple(w for w in g.vertices if w != v),
-                       tuple((eid, merge(a), merge(b)) for eid, a, b in g.edges),
-                       merge(g.s), merge(g.t), g.edge_labels)
+        return Digraph._trusted(tuple(w for w in g.vertices if w != v),
+                                tuple((eid, merge(a), merge(b)) for eid, a, b in g.edges),
+                                merge(g.s), merge(g.t), g.edge_labels)
 
     def subgraph(self, edge_ids) -> "Digraph":
         """Restriction to a subset of edges (vertices and s, t kept)."""
         wanted = frozenset(edge_ids)
-        unknown = wanted - set(self.edge_ids)
+        unknown = wanted - self.edge_by_id.keys()
         if unknown:
             raise ValueError(f"unknown edge ids {sorted(unknown)}")
         keep = [i for i, (eid, _, _) in enumerate(self.edges) if eid in wanted]
         labels = None
         if self.edge_labels is not None:
             labels = tuple(self.edge_labels[i] for i in keep)
-        return Digraph(self.vertices, tuple(self.edges[i] for i in keep),
-                       self.s, self.t, labels)
+        return Digraph._trusted(self.vertices, tuple(self.edges[i] for i in keep),
+                                self.s, self.t, labels)
 
     # -- paths ---------------------------------------------------------------
 
@@ -197,9 +202,9 @@ class Digraph:
     def edge_mask(self, edge_ids) -> int:
         """The edge mask of a set of edge ids; ids the graph lacks raise
         ``ValueError``."""
-        bits = self.edge_bits
+        pos = self._position
         try:
-            return sum({bits[e] for e in edge_ids})
+            return sum({1 << pos[e] for e in edge_ids})
         except KeyError as err:
             raise ValueError(f"not an edge id of the graph: {err.args[0]!r}") from None
 
@@ -217,12 +222,12 @@ class Digraph:
         s, t = self.s, self.t
         if s == t:
             return True
-        out = self._bit_adj[0]
+        out = self._adj[0]
         seen = {s}
         stack = [s]
         while stack:
-            for bit, w in out[stack.pop()]:
-                if bit & mask and w not in seen:
+            for i, w in out[stack.pop()]:
+                if mask >> i & 1 and w not in seen:
                     if w == t:
                         return True
                     seen.add(w)
@@ -244,17 +249,17 @@ class Digraph:
 
         Depth-first over an explicit stack of neighbour iterators; a vertex
         leaves ``inner`` while it is on the walk."""
-        out = self._out
+        out, ids = self._adj[0], self.edge_ids
         vseq, eseq = [root], []
         frames = [iter(out[root])]
         while frames:
-            for eid, w in frames[-1]:
+            for i, w in frames[-1]:
                 if w == target:
-                    yield Walk((*vseq, w), (*eseq, eid))
+                    yield Walk((*vseq, w), (*eseq, ids[i]))
                 elif w in inner:
                     inner.discard(w)
                     vseq.append(w)
-                    eseq.append(eid)
+                    eseq.append(ids[i])
                     frames.append(iter(out[w]))
                     break
             else:
@@ -267,12 +272,13 @@ class Digraph:
         """Edge count of a shortest s-t-path; None when t is unreachable."""
         if self.s == self.t:
             return 0
+        out = self._adj[0]
         dist = {self.s: 0}
         frontier = [self.s]
         while frontier:
             nxt = []
             for v in frontier:
-                for _, w in self._out.get(v, ()):
+                for _, w in out[v]:
                     if w not in dist:
                         dist[w] = dist[v] + 1
                         if w == self.t:
@@ -284,12 +290,12 @@ class Digraph:
     @cached_property
     def _reachable_from_s(self) -> set:
         """Vertices reachable from s (shared by every query: never mutated)."""
-        return _closure(self.s, self._out)
+        return _closure(self.s, self._adj[0])
 
     @cached_property
     def _coreachable_to_t(self) -> set:
         """Vertices from which t is reachable (shared: never mutated)."""
-        return _closure(self.t, self._in)
+        return _closure(self.t, self._adj[1])
 
     # -- cycles and useless edges ---------------------------------------------
 
@@ -378,7 +384,7 @@ class Digraph:
         visit order it reaches; closing a component relabels it ``n`` +
         its root's visit order.  The first edge onto a vertex still on the
         search path closes the witness."""
-        out = self._out
+        out, ids = self._adj[0], self.edge_ids
         n = len(self.vertices)
         low: dict = {}
         pending: list = []  # visited vertices whose component is still open
@@ -402,7 +408,7 @@ class Digraph:
                         # vertex, so ``pending`` is the search path, and each
                         # step along it took the first edge to its next vertex.
                         vs = (*pending[pending.index(w):], w)
-                        cycle = Walk(vs, tuple(next(e for e, x in out[a] if x == b)
+                        cycle = Walk(vs, tuple(next(ids[e] for e, x in out[a] if x == b)
                                                for a, b in zip(vs, vs[1:])))
                     if low[w] < low[v]:
                         low[v] = low[w]
@@ -434,7 +440,7 @@ class Digraph:
         if cycle is None:
             return
         vindex = {v: i for i, v in enumerate(self.vertices)}
-        out, inc = self._out, self._in
+        (out, inc), ids = self._adj, self.edge_ids
         for start in self.vertices:
             base, label = vindex[start], comp[start]
             back: set = set()
@@ -448,7 +454,7 @@ class Digraph:
                 for w in self._simple_walks(start, start, back):
                     yield w.edge_set()
             else:
-                yield from (frozenset((eid,)) for eid, w in out[start] if w == start)
+                yield from (frozenset((ids[i],)) for i, w in out[start] if w == start)
 
     def quasi_cycles(self) -> list[QuasiCycle]:
         """Cycle edge sets plus singletons of useless edges, deduplicated.
@@ -490,8 +496,7 @@ class Digraph:
         qcs = self._quasi_cycles(cycle_sets)
         if len(qcs) > most:
             raise ResourceLimitError(f"{len(qcs)} quasi-cycles exceed the packing limit of {most}")
-        bits = self.edge_bits
-        masks = [sum(bits[e] for e in qc.edges) for qc in qcs]
+        masks = [self.edge_mask(qc.edges) for qc in qcs]
         # ``qcs`` is sorted by size, so a strict subset comes earlier.
         rest = [i for i, m in enumerate(masks) if not any(o & m == o for o in masks[:i])]
         chosen: list[int] = []
@@ -511,45 +516,47 @@ class Digraph:
 
     # -- flows ------------------------------------------------------------------
 
-    def _max_flow(self, mask: Optional[int] = None,
+    def _max_flow(self, mask: int = -1,
                   limit: Optional[int] = None) -> tuple[int, set]:
         """Unit-capacity max flow from s to t by augmenting-path search.
 
-        Only the edges in ``mask`` (all edges by default) carry flow, and
-        the search stops once the value reaches ``limit``.  Returns the
-        value and the vertices the last search reached: unless ``limit``
-        stopped it, the source side of a minimum cut.  When s = t the
+        Only the edges in the edge ``mask`` (all edges by default) carry
+        flow, and the search stops once the value reaches ``limit``.
+        Returns the value and the vertices the last search reached: unless
+        ``limit`` stopped it, the source side of a minimum cut.  When s = t the
         trivial path replicates without using any edge: the value is
         ``limit``, or ``math.inf`` without one.
         """
         s, t = self.s, self.t
         if s == t:
             return (math.inf if limit is None else limit), {s}
-        if mask is None:
-            mask = self.full_mask
-        out, inc = self._bit_adj
-        flow = value = 0  # flow: the mask of edges carrying one unit
+        out, inc = self._adj
+        # state[i]: 1 while edge i may take a unit, 2 while it carries one,
+        # 0 when the mask leaves it out; an augmenting step flips 1 and 2.
+        state = (bytearray(b"\1") * len(self.edges) if mask == -1
+                 else bytearray(mask >> i & 1 for i in range(len(self.edges))))
+        value = 0
         while limit is None or value < limit:
             how: dict = {s: None}
             frontier = [s]
             while frontier and t not in how:
                 nxt = []
                 for v in frontier:
-                    for bit, w in out[v]:
-                        if bit & mask and not bit & flow and w not in how:
-                            how[w] = (v, bit)
+                    for i, w in out[v]:
+                        if state[i] == 1 and w not in how:
+                            how[w] = (v, i)
                             nxt.append(w)
-                    for bit, w in inc[v]:
-                        if bit & flow and w not in how:
-                            how[w] = (v, bit)
+                    for i, w in inc[v]:
+                        if state[i] == 2 and w not in how:
+                            how[w] = (v, i)
                             nxt.append(w)
                 frontier = nxt
             if t not in how:
                 break
             v = t
             while v != s:
-                v, bit = how[v]
-                flow ^= bit
+                v, i = how[v]
+                state[i] ^= 3
             value += 1
         return value, set(how)
 
@@ -594,8 +601,8 @@ def _max_disjoint(masks: list[int]) -> tuple[int, ...]:
 
 
 def _closure(root, adj: dict) -> set:
-    """Vertices reachable from ``root`` along ``adj`` (vertex -> tuple of
-    (edge_id, neighbour)), root included."""
+    """Vertices reachable from ``root`` along ``adj`` (vertex -> list of
+    (position, neighbour)), root included."""
     seen = {root}
     stack = [root]
     while stack:

@@ -23,54 +23,55 @@ from .errors import GraphParseError
 
 
 def parse_graph(text: str) -> Digraph:
-    vertices: list[str] = []
-    declared: set[str] = set()
-    edges: list[tuple[str, str]] = []
-    labels: list[str] = []
-    label_seen: set[str] = set()
+    """The graph of a file, checked in one pass over its lines."""
+    vertices: dict[str, str] = {}  # each declared id to itself, in file order
+    edges: list[tuple[int, str, str]] = []
+    labels: dict[str, None] = {}  # edge-id tokens, in file order
     ends = {"s": None, "t": None}
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        tokens = raw.split()
+        if not tokens:
             continue
-        tokens = line.split()
-        directive, args = tokens[0], tokens[1:]
-        if directive == "vertex":
-            if len(args) != 1:
+        directive = tokens[0]
+        if directive == "edge":
+            if len(tokens) != 4:
+                raise GraphParseError("edge takes <edge-id> <src> <dst>", line_no)
+            _, eid, src, dst = tokens
+            if eid in labels:
+                raise GraphParseError(f"duplicate edge id {eid!r}", line_no)
+            u, v = vertices.get(src), vertices.get(dst)
+            if u is None:
+                raise GraphParseError(f"undeclared vertex {src!r}", line_no)
+            if v is None:
+                raise GraphParseError(f"undeclared vertex {dst!r}", line_no)
+            labels[eid] = None
+            edges.append((len(edges), u, v))
+        elif directive[0] == "#":
+            continue
+        elif directive == "vertex":
+            if len(tokens) != 2:
                 raise GraphParseError("vertex takes exactly one id", line_no)
-            if args[0] in declared:
-                raise GraphParseError(f"duplicate vertex {args[0]!r}", line_no)
-            declared.add(args[0])
-            vertices.append(args[0])
+            if tokens[1] in vertices:
+                raise GraphParseError(f"duplicate vertex {tokens[1]!r}", line_no)
+            vertices[tokens[1]] = tokens[1]
         elif directive in ends:
-            if len(args) != 1:
+            if len(tokens) != 2:
                 raise GraphParseError(f"{directive} takes exactly one vertex id", line_no)
             if ends[directive] is not None:
                 raise GraphParseError(f"{directive} declared twice", line_no)
-            if args[0] not in declared:
-                raise GraphParseError(f"undeclared vertex {args[0]!r}", line_no)
-            ends[directive] = args[0]
-        elif directive == "edge":
-            if len(args) != 3:
-                raise GraphParseError("edge takes <edge-id> <src> <dst>", line_no)
-            eid, src, dst = args
-            if eid in label_seen:
-                raise GraphParseError(f"duplicate edge id {eid!r}", line_no)
-            if src not in declared:
-                raise GraphParseError(f"undeclared vertex {src!r}", line_no)
-            if dst not in declared:
-                raise GraphParseError(f"undeclared vertex {dst!r}", line_no)
-            label_seen.add(eid)
-            labels.append(eid)
-            edges.append((src, dst))
+            ends[directive] = vertices.get(tokens[1])
+            if ends[directive] is None:
+                raise GraphParseError(f"undeclared vertex {tokens[1]!r}", line_no)
         else:
             raise GraphParseError(f"unknown directive {directive!r}", line_no)
 
     for end, vertex in ends.items():
         if vertex is None:
             raise GraphParseError(f"missing {end} line")
-    return Digraph.build(vertices, edges, ends["s"], ends["t"], labels)
+    # Every check of ``Digraph.__post_init__`` was made above, line by line.
+    return Digraph._trusted(tuple(vertices), tuple(edges), ends["s"], ends["t"],
+                            tuple(labels))
 
 
 def format_graph(g: Digraph) -> str:

@@ -90,7 +90,7 @@ def _check_r(r: int):
 
 def pm_member(g: Digraph, f) -> bool:
     """True iff removing f still leaves an s-t-path."""
-    return g.reaches(g.full_mask ^ g.edge_mask(f))
+    return g.reaches(~g.edge_mask(f))
 
 
 def pf_member(g: Digraph, f) -> bool:
@@ -101,7 +101,7 @@ def pf_member(g: Digraph, f) -> bool:
 def pm_r_member(g: Digraph, f, r: int) -> bool:
     """True iff the complement of f contains r edge-disjoint s-t-paths."""
     _check_r(r)
-    return g._max_flow(g.full_mask ^ g.edge_mask(f), r)[0] >= r
+    return g._max_flow(~g.edge_mask(f), r)[0] >= r
 
 
 def pf_r_member(g: Digraph, f, r: int) -> bool:
@@ -218,7 +218,7 @@ def fpoly_pm_dc(g: Digraph) -> IntPolynomial:
     for v in (queue := [g.s]):
         if v not in pos:
             pos[v] = len(pos)
-            queue += (x for _, x in g._out[v])
+            queue += (x for _, x in g._adj[0][v])
     edges = sorted(((pos[u], pos[v]) for eid, u, v in g.edges if eid not in g._useless_by_reach),
                    key=lambda e: (min(e), max(e)))
     last_out, last_in = ({e[j]: i for i, e in enumerate(edges)} for j in (0, 1))

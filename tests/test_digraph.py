@@ -1,12 +1,15 @@
 import math
 import random
-from collections import defaultdict
-from itertools import combinations, product
+from collections import Counter, defaultdict
+from itertools import combinations, islice, product
+from typing import Iterator
 
 import pytest
 
 from pathcomplexes.digraph import QUASI_CYCLE_PACKING_LIMIT, Digraph, Walk
 from pathcomplexes.errors import ResourceLimitError
+from pathcomplexes.pathcomplex import (build_pf_r, build_pm_r, pf_r_member,
+                                       pm_r_member)
 from pathcomplexes.verify import (CorpusSpec, double_cycle_graph,
                                   edgeless_graph, example_graph,
                                   generate_corpus, loop_graph, parallel_graph,
@@ -93,6 +96,24 @@ def test_contract_s_to_t_edge_merges_roles():
 def test_contract_unknown_edge():
     with pytest.raises(ValueError):
         example_graph().contract_edge(99)
+
+
+def minors(g: Digraph) -> Iterator[Digraph]:
+    """Every deletion and every contraction of one edge of g."""
+    for e in g.edge_ids:
+        yield g.delete_edge(e)
+        yield g.contract_edge(e)
+
+
+def test_minors_pass_the_public_constructor():
+    # Minors skip the constructor's checks; rebuilding each one through it
+    # re-runs them, and must give the same graph.
+    count = 0
+    for g in generate_corpus(CorpusSpec(graph_count=200)):
+        for h in minors(g):
+            assert h == Digraph(h.vertices, h.edges, h.s, h.t, h.edge_labels), (g, h)
+            count += 1
+    assert count > 1000
 
 
 # -- path enumeration --------------------------------------------------------------
@@ -392,15 +413,18 @@ def test_useless_edges_and_min_cut_match_networkx():
         used = {eid for path in nx.all_simple_paths(simple, g.s, g.t)
                 for u, v in zip(path, path[1:]) for eid in parallel[u, v]}
         assert g.useless_edges() == frozenset(g.edge_ids) - used
-        if g.s == g.t:
-            continue
-        # Parallel edges merge into one arc with their count as capacity;
-        # self-loops carry no s-t flow.
-        capacity = nx.DiGraph()
-        capacity.add_nodes_from(g.vertices)
-        capacity.add_edges_from((u, v, {"capacity": len(ids)})
-                                for (u, v), ids in parallel.items() if u != v)
-        assert g.min_st_cutset_size() == nx.minimum_cut_value(capacity, g.s, g.t)
+        if g.s != g.t:
+            assert g.min_st_cutset_size() == networkx_min_cut(nx, g)
+
+
+def networkx_min_cut(nx, g: Digraph) -> int:
+    """The s-t min cut of g by networkx.  Parallel edges merge into one arc
+    with their count as capacity; self-loops carry no s-t flow."""
+    capacity = nx.DiGraph()
+    capacity.add_nodes_from(g.vertices)
+    arcs = Counter((u, v) for _, u, v in g.edges if u != v)
+    capacity.add_edges_from((u, v, {"capacity": k}) for (u, v), k in arcs.items())
+    return nx.minimum_cut_value(capacity, g.s, g.t)
 
 
 # -- flows ---------------------------------------------------------------------------
@@ -439,6 +463,39 @@ def test_min_cut_values():
     assert example_graph().min_st_cutset_size() == 2
     assert parallel_graph(5).min_st_cutset_size() == 5
     assert edgeless_graph().min_st_cutset_size() == 0
+
+
+def test_flows_on_minors_whose_edge_positions_are_not_their_ids():
+    # Flows index edges by position in ``edges``; a minor keeps the ids of
+    # its parent, which has gaps, parallel edges and self-loops.
+    nx = pytest.importorskip("networkx")
+    cut_checked = member_checked = shifted = 0
+    for k, g in enumerate(oracle_graphs()):
+        for h in minors(g):
+            shifted += h.edge_ids != tuple(range(len(h.edges)))
+            if h.s != h.t:
+                assert h.min_st_cutset_size() == networkx_min_cut(nx, h), h
+                cut_checked += 1
+        if k % 4 or len(g.edges) > 8:
+            continue
+        # The r-builds grow a truth table by Menger's step and run no flow.
+        # Every third minor, deletions and contractions alternating.
+        for h in islice(minors(g), 1, None, 3):
+            subsets = [f for n in range(len(h.edges) + 1) for f in combinations(h.edge_ids, n)]
+            for r in (1, 2, 3):
+                pm, pf = build_pm_r(h, r), build_pf_r(h, r)
+                for f in subsets:
+                    mask = sum(1 << h.edge_ids.index(e) for e in f)
+                    assert (mask in pm.faces) == pm_r_member(h, f, r), (h, f, r)
+                    assert (mask in pf.faces) == pf_r_member(h, f, r), (h, f, r)
+            member_checked += 1
+    assert shifted > 3000 and cut_checked > 3000 and member_checked > 150
+
+
+def test_min_cut_on_large_graphs():
+    assert grid_graph(30, 30).min_st_cutset_size() == 2
+    assert path_graph(1500).min_st_cutset_size() == 1
+    assert path_graph(1500).delete_edge(700).min_st_cutset_size() == 0
 
 
 def test_min_cut_undefined_for_s_equals_t():
