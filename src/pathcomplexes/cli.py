@@ -43,19 +43,20 @@ def _edge_names(labels: dict[int, str], edge_ids) -> str:
 
 def _cmd_analyze(args) -> int:
     g = _load_graph(args.file)
+    # Every answer first, so a tripped guard leaves stdout empty.
     cycle = g.find_cycle()
-    print(f"cycle: {'yes' if cycle is not None else 'no'}")
     useless = g.useless_edges()
-    labels = g.label_map()
-    print(f"useless-edges: {_edge_names(labels, useless) if useless else '(none)'}")
     nonsinks = g.nonsinks()
-    ordered = [str(v) for v in g.vertices if v in nonsinks]
-    print(f"nonsinks: {' '.join(ordered) if ordered else '(none)'}")
     packing, _ = g.max_disjoint_quasi_cycles()
-    print(f"quasi-cycle-packing: {packing}")
-    print(f"min-cut: {'n/a' if g.s == g.t else g.min_st_cutset_size()}")
+    cut = "n/a" if g.s == g.t else g.min_st_cutset_size()
     shortest = g.shortest_st_path_length()
-    print(f"shortest-path-length: {'none' if shortest is None else shortest}")
+    ordered = [str(v) for v in g.vertices if v in nonsinks]
+    print(f"cycle: {'yes' if cycle is not None else 'no'}\n"
+          f"useless-edges: {_edge_names(g.label_map(), useless) if useless else '(none)'}\n"
+          f"nonsinks: {' '.join(ordered) if ordered else '(none)'}\n"
+          f"quasi-cycle-packing: {packing}\n"
+          f"min-cut: {cut}\n"
+          f"shortest-path-length: {'none' if shortest is None else shortest}")
     return 0
 
 

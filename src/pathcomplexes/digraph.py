@@ -8,9 +8,10 @@ the interpreter's recursion limit.  Exponential searches are confined by
 exact reductions: cycle enumeration and the useless-edge path search only
 enter strongly connected components, and the packing drops dominated
 quasi-cycles and packs each conflict component on its own.  The
-whole-graph queries (reachability, the useless edges, and the strongly
-connected components with the cycle witness, both found by one
-depth-first search) are computed once per graph.
+whole-graph queries are computed once per graph: one breadth-first search
+from s and one to t give every reachability answer, the distance from s
+to t and the edges reachability leaves useless, and one depth-first
+search gives the strongly connected components and the cycle witness.
 
 Graphs are immutable; deletion and contraction return new graphs and never
 renumber the surviving edge ids, so edge subsets remain comparable between
@@ -20,7 +21,8 @@ that has already established them calls it: the file parser, which checks
 each line as it reads it, and the minors of an already valid graph.
 
 Every query walks one cached adjacency of (position, neighbour) pairs, in
-edge-id order, where position i is ``edges[i]``.  An edge mask is an int
+the order of ``edges``, where position i is ``edges[i]``; ``_position``
+is the one map from edge ids to positions.  An edge mask is an int
 whose bit i stands for that edge; -1 holds every edge.  Flows and
 reachability under a mask index edges by position, with a flow state of
 one byte per edge, so no per-edge int is as wide as the edge count.
@@ -73,7 +75,8 @@ class Digraph:
     ``edges`` holds (edge_id, source, target) triples; parallel edges and
     self-loops are permitted, and s = t is permitted.  ``edge_labels``
     optionally carries display names aligned with ``edges`` (used by the
-    file format; algorithms ignore it).
+    file format; algorithms ignore it).  Queries walk ``edges`` in order,
+    whatever the ids, and cache one breadth-first search per end.
     """
 
     vertices: tuple
@@ -122,10 +125,6 @@ class Digraph:
         return tuple(eid for eid, _, _ in self.edges)
 
     @cached_property
-    def edge_by_id(self) -> dict[int, tuple[Vertex, Vertex]]:
-        return {eid: (u, v) for eid, u, v in self.edges}
-
-    @cached_property
     def _position(self) -> dict[int, int]:
         """Edge id -> its position in ``edges``, the edge's bit in a mask."""
         return {eid: i for i, (eid, _, _) in enumerate(self.edges)}
@@ -133,13 +132,11 @@ class Digraph:
     @cached_property
     def _adj(self) -> tuple[dict, dict]:
         """Out- and in-adjacency, every query's view of the edges: vertex ->
-        list of (position, neighbour), id-ascending, built in one loop.
-        ``edge_ids[position]`` is the edge's id; shared, never mutated."""
-        edges = self.edges
+        list of (position, neighbour), in the order of ``edges``, built in one
+        loop.  ``edge_ids[position]`` is the edge's id; shared, never mutated."""
         out: dict = {v: [] for v in self.vertices}
         inc: dict = {v: [] for v in self.vertices}
-        for i in sorted(range(len(edges)), key=self.edge_ids.__getitem__):
-            _, u, v = edges[i]
+        for i, (_, u, v) in enumerate(self.edges):
             out[u].append((i, v))
             inc[v].append((i, u))
         return out, inc
@@ -152,7 +149,7 @@ class Digraph:
 
     def _require_edge(self, e: int) -> tuple[Vertex, Vertex]:
         try:
-            return self.edge_by_id[e]
+            return self.edges[self._position[e]][1:]
         except KeyError:
             raise ValueError(f"unknown edge id {e}") from None
 
@@ -183,7 +180,7 @@ class Digraph:
     def subgraph(self, edge_ids) -> "Digraph":
         """Restriction to a subset of edges (vertices and s, t kept)."""
         wanted = frozenset(edge_ids)
-        unknown = wanted - self.edge_by_id.keys()
+        unknown = wanted - self._position.keys()
         if unknown:
             raise ValueError(f"unknown edge ids {sorted(unknown)}")
         keep = [i for i, (eid, _, _) in enumerate(self.edges) if eid in wanted]
@@ -197,16 +194,18 @@ class Digraph:
 
     def has_st_path(self) -> bool:
         """True iff t is reachable from s (a walk exists iff a path does)."""
-        return self.t in self._reachable_from_s
+        return self.t in self._from_s
 
     def edge_mask(self, edge_ids) -> int:
         """The edge mask of a set of edge ids; ids the graph lacks raise
         ``ValueError``."""
-        pos = self._position
+        pos, bits = self._position, bytearray(len(self.edges) // 8 + 1)
         try:
-            return sum({1 << pos[e] for e in edge_ids})
+            for i in map(pos.__getitem__, edge_ids):
+                bits[i >> 3] |= 1 << (i & 7)
         except KeyError as err:
             raise ValueError(f"not an edge id of the graph: {err.args[0]!r}") from None
+        return int.from_bytes(bits, "little")
 
     def has_st_path_within(self, edge_ids) -> bool:
         """Reachability of t from s using only the given edges.
@@ -235,7 +234,7 @@ class Digraph:
         return False
 
     def enumerate_st_paths(self) -> list[Walk]:
-        """All simple s-t-paths, lexicographic by edge-id sequence.
+        """All simple s-t-paths, lexicographic by edge positions in ``edges``.
 
         When s = t the only s-t-path is the trivial edgeless one.
         """
@@ -245,7 +244,7 @@ class Digraph:
 
     def _simple_walks(self, root, target, inner: set):
         """Yield each walk from ``root`` to ``target`` with its other vertices
-        distinct and in ``inner``, lexicographic by edge-id sequence.
+        distinct and in ``inner``, lexicographic by edge positions.
 
         Depth-first over an explicit stack of neighbour iterators; a vertex
         leaves ``inner`` while it is on the walk."""
@@ -270,37 +269,23 @@ class Digraph:
 
     def shortest_st_path_length(self) -> Optional[int]:
         """Edge count of a shortest s-t-path; None when t is unreachable."""
-        if self.s == self.t:
-            return 0
-        out = self._adj[0]
-        dist = {self.s: 0}
-        frontier = [self.s]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for _, w in out[v]:
-                    if w not in dist:
-                        dist[w] = dist[v] + 1
-                        if w == self.t:
-                            return dist[w]
-                        nxt.append(w)
-            frontier = nxt
-        return None
+        return self._from_s.get(self.t)
 
     @cached_property
-    def _reachable_from_s(self) -> set:
-        """Vertices reachable from s (shared by every query: never mutated)."""
-        return _closure(self.s, self._adj[0])
+    def _from_s(self) -> dict:
+        """Vertex -> its distance from s, over the vertices s reaches, in
+        breadth-first order (shared by every query: never mutated)."""
+        return _distances(self.s, self._adj[0])
 
     @cached_property
-    def _coreachable_to_t(self) -> set:
-        """Vertices from which t is reachable (shared: never mutated)."""
-        return _closure(self.t, self._adj[1])
+    def _to_t(self) -> dict:
+        """Vertex -> its distance to t, over the vertices reaching t (shared)."""
+        return _distances(self.t, self._adj[1])
 
     # -- cycles and useless edges ---------------------------------------------
 
     def find_cycle(self) -> Optional[Walk]:
-        """First cycle found by depth-first search in edge-id order, or None.
+        """First cycle found by depth-first search in ``edges`` order, or None.
 
         Self-loops count as cycles.  Vertices are tried in declaration
         order, so the answer is deterministic: the first edge that leads
@@ -337,7 +322,7 @@ class Digraph:
     @cached_property
     def _useless(self) -> frozenset[int]:
         """The edge set ``useless_edges`` returns."""
-        fwd, bwd = self._reachable_from_s, self._coreachable_to_t
+        fwd, bwd = self._from_s, self._to_t
         useless = self._useless_by_reach
         comp, cycle = self._components_and_cycle
         if cycle is None:
@@ -371,7 +356,7 @@ class Digraph:
     @cached_property
     def _useless_by_reach(self) -> frozenset[int]:
         """The edges ``useless_edges`` marks by reachability alone."""
-        fwd, bwd, s, t = self._reachable_from_s, self._coreachable_to_t, self.s, self.t
+        fwd, bwd, s, t = self._from_s, self._to_t, self.s, self.t
         return frozenset(eid for eid, u, v in self.edges
                          if u == v or u not in fwd or v not in bwd or v == s or u == t)
 
@@ -600,14 +585,16 @@ def _max_disjoint(masks: list[int]) -> tuple[int, ...]:
     return best
 
 
-def _closure(root, adj: dict) -> set:
-    """Vertices reachable from ``root`` along ``adj`` (vertex -> list of
-    (position, neighbour)), root included."""
-    seen = {root}
-    stack = [root]
-    while stack:
-        for _, w in adj[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return seen
+def _distances(root, adj: dict) -> dict:
+    """Vertex -> its distance from ``root`` along ``adj`` (vertex -> list of
+    (position, neighbour)), for the vertices reached, in the order a
+    breadth-first search discovers them."""
+    dist = {root: 0}
+    queue = [root]
+    for v in queue:
+        d = dist[v] + 1
+        for _, w in adj[v]:
+            if w not in dist:
+                dist[w] = d
+                queue.append(w)
+    return dist

@@ -170,7 +170,8 @@ def source_apex_strong_certificate(g: Digraph, c: SimplicialComplex,
                                    which: str) -> Optional[GrapeNode]:
     """Strong-grape certificate of c, the ``which`` ("pm" or "pf") complex
     of g, whose apex, whenever the graph offers a non-useless edge out of
-    s, is the lowest-id such edge.
+    s, is the first such edge in ``g.edges``, the order edge masks and the
+    complex's ground share.
 
     The link and the deletion at an edge e out of s are the complexes of
     the edge-deleted and edge-contracted graphs, so the recursion walks
@@ -182,8 +183,7 @@ def source_apex_strong_certificate(g: Digraph, c: SimplicialComplex,
     if len(c.ground) <= 1:
         return BaseCase(c.ground)
     useless = g.useless_edges()
-    candidates = [eid for eid, u, _ in sorted(g.edges)
-                  if u == g.s and eid not in useless]
+    candidates = [eid for eid, u, _ in g.edges if u == g.s and eid not in useless]
     if not candidates:
         return is_strong_grape(c)
     e = candidates[0]

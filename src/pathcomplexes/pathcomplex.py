@@ -214,11 +214,7 @@ def fpoly_pm_dc(g: Digraph) -> IntPolynomial:
     every later or useless edge.  Over ``FRONTIER_STATE_LIMIT`` states raise
     ``ResourceLimitError``.
     """
-    pos: dict = {}  # vertex -> its breadth-first position from s
-    for v in (queue := [g.s]):
-        if v not in pos:
-            pos[v] = len(pos)
-            queue += (x for _, x in g._adj[0][v])
+    pos = {v: i for i, v in enumerate(g._from_s)}  # vertex -> breadth-first position
     edges = sorted(((pos[u], pos[v]) for eid, u, v in g.edges if eid not in g._useless_by_reach),
                    key=lambda e: (min(e), max(e)))
     last_out, last_in = ({e[j]: i for i, e in enumerate(edges)} for j in (0, 1))

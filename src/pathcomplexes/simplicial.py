@@ -311,27 +311,3 @@ def _gf2_rank(columns: list[int]) -> int:
                 break
     return rank
 
-
-# -- stock complexes -------------------------------------------------------------
-
-
-def empty_complex(ground: Iterable[int] = ()) -> SimplicialComplex:
-    return SimplicialComplex(tuple(ground), 0)
-
-
-def irrelevant_complex(ground: Iterable[int] = ()) -> SimplicialComplex:
-    """The complex whose only face is the empty set."""
-    return SimplicialComplex(tuple(ground), 1)
-
-
-def full_simplex(ground: Iterable[int]) -> SimplicialComplex:
-    g = tuple(ground)
-    return SimplicialComplex(g, (1 << (1 << len(g))) - 1)
-
-
-def proper_subsets_complex(ground: Iterable[int]) -> SimplicialComplex:
-    """All proper subsets of a nonempty ground set: a sphere's face family."""
-    g = tuple(ground)
-    if not g:
-        raise ValueError("ground set must be nonempty")
-    return SimplicialComplex(g, (1 << (1 << len(g)) - 1) - 1)

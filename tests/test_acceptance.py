@@ -17,9 +17,10 @@ from pathcomplexes.pathcomplex import (build_pf, build_pf_r, build_pm,
                                        chi_pf_closed, chi_pm_closed,
                                        fpoly_pf_dc, fpoly_pm_dc, homotopy_pf,
                                        homotopy_pm)
-from pathcomplexes.simplicial import proper_subsets_complex
 from pathcomplexes.verify import (CorpusSpec, generate_corpus, parallel_graph,
                                   verify_corpus)
+
+from complexes import proper_subsets_complex
 
 CORPUS_SPEC = CorpusSpec(graph_count=500, max_vertices=6, max_edges=8, seed=1)
 WIDE_SPEC = CorpusSpec(graph_count=60, max_vertices=6, max_edges=10, seed=2)

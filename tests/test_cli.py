@@ -23,7 +23,7 @@ from pathcomplexes.pathcomplex import build_pf, build_pm
 from pathcomplexes.verify import (CorpusSpec, double_cycle_graph, example_graph,
                                   generate_corpus, parallel_graph, path_graph)
 
-from families import grid_graph
+from families import bidirected_grid, grid_graph
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -269,6 +269,13 @@ def test_resource_guard_exits_3(capsys, monkeypatch, tmp_path):
     code, _, err = run(capsys, "grape", path, "--complex", "pm")
     assert code == 3
     assert err == "resource limit: ground size 13 exceeds the grape search limit of 12\n"
+
+
+def test_analyze_prints_nothing_when_the_packing_guard_trips(capsys, tmp_path):
+    path = write_graph(tmp_path, bidirected_grid(4))
+    code, out, err = run(capsys, "analyze", path)
+    assert code == 3 and out == ""
+    assert err == "resource limit: more than 64 cycles exceed the packing limit of 64\n"
 
 
 # -- long and large graphs, at the default recursion limit -------------------------

@@ -228,7 +228,8 @@ def test_cycles_match_networkx():
             vs = cycle.vertices
             # A closed walk: it ends where it starts and repeats no other vertex.
             assert vs[0] == vs[-1] and len(set(vs[1:])) == len(vs) - 1
-            assert [g.edge_by_id[e] for e in cycle.edges] == list(zip(vs, vs[1:]))
+            ends = {eid: (u, v) for eid, u, v in g.edges}
+            assert [ends[e] for e in cycle.edges] == list(zip(vs, vs[1:]))
 
 
 def test_nonsinks():
@@ -383,6 +384,37 @@ def oracle_graphs() -> list[Digraph]:
     return graphs + [with_gapped_ids(random_multigraph(rng), rng) for _ in range(300)]
 
 
+def test_walks_follow_the_edge_order_whatever_the_ids():
+    # Paths and the cycle witness walk the edges in the order of ``edges``,
+    # so drawing new, unsorted ids moves no walk: mapped back through the
+    # edge positions, each is the walk of the graph with ids 0, 1, 2, ...
+    rng = random.Random(8)
+    graphs = generate_corpus(CorpusSpec(graph_count=200))
+    graphs += [random_multigraph(rng) for _ in range(300)]
+    for g in graphs:
+        h = with_gapped_ids(g, rng)
+        back = {eid: g.edges[i][0] for i, (eid, _, _) in enumerate(h.edges)}
+
+        def mapped(walk):
+            return walk and Walk(walk.vertices, tuple(back[e] for e in walk.edges))
+
+        assert [mapped(p) for p in h.enumerate_st_paths()] == g.enumerate_st_paths()
+        assert mapped(h.find_cycle()) == g.find_cycle()
+
+
+def test_edge_mask_is_the_sum_of_its_position_bits():
+    rng = random.Random(11)
+    for g in oracle_graphs() + [with_gapped_ids(path_graph(1500), rng)]:
+        pos = {eid: i for i, (eid, _, _) in enumerate(g.edges)}
+        ids = list(g.edge_ids)
+        subsets = [[], ids] + [rng.sample(ids, rng.randint(0, len(ids))) for _ in range(3)]
+        for subset in subsets:
+            repeated = subset + subset[:2]
+            assert g.edge_mask(repeated) == sum(1 << pos[e] for e in set(subset))
+    with pytest.raises(ValueError, match="^not an edge id of the graph: 99$"):
+        example_graph().edge_mask([0, 99])
+
+
 def test_packing_matches_brute_force():
     def disjoint(group):
         edges = [e for qc in group for e in qc.edges]
@@ -507,3 +539,18 @@ def test_shortest_path_length():
     assert example_graph().shortest_st_path_length() == 2
     assert loop_graph().shortest_st_path_length() == 0
     assert edgeless_graph().shortest_st_path_length() is None
+
+
+def test_shortest_path_length_matches_networkx():
+    nx = pytest.importorskip("networkx")
+    kinds = set()
+    for g in oracle_graphs():
+        multi = nx.MultiDiGraph([(u, v) for _, u, v in g.edges])
+        multi.add_nodes_from(g.vertices)
+        try:
+            want = nx.shortest_path_length(multi, g.s, g.t)
+        except nx.NetworkXNoPath:
+            want = None
+        assert g.shortest_st_path_length() == want
+        kinds.add("s = t" if g.s == g.t else "unreachable" if want is None else "reachable")
+    assert kinds == {"s = t", "unreachable", "reachable"}

@@ -9,12 +9,12 @@ from pathcomplexes.grapes import (BaseCase, ConeWitness, SandwichWitness,
                                   is_strong_grape, replay_certificate,
                                   source_apex_strong_certificate)
 from pathcomplexes.pathcomplex import build_pf, build_pm
-from pathcomplexes.simplicial import (SimplicialComplex, empty_complex,
-                                      full_simplex, irrelevant_complex)
+from pathcomplexes.simplicial import SimplicialComplex
 from pathcomplexes.verify import (CorpusSpec, double_cycle_graph,
                                   example_graph, fixture_battery,
                                   generate_corpus, parallel_graph)
 
+from complexes import empty_complex, full_simplex, irrelevant_complex
 from families import grid_graph
 
 

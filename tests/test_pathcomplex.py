@@ -18,12 +18,14 @@ from pathcomplexes.pathcomplex import (CASE_EMPTY_EDGE, CASE_GENERIC_ACYCLIC,
                                        pf_r_member, pm_member, pm_r_member,
                                        sphere)
 from pathcomplexes.polynomial import IntPolynomial
-from pathcomplexes.simplicial import (SimplicialComplex, empty_complex,
-                                      full_simplex, irrelevant_complex,
-                                      proper_subsets_complex)
+from pathcomplexes.simplicial import SimplicialComplex
 from pathcomplexes.verify import (CorpusSpec, double_cycle_graph, edgeless_graph,
                                   example_graph, generate_corpus, loop_graph,
                                   parallel_graph, path_graph)
+
+from complexes import (empty_complex, full_simplex, irrelevant_complex,
+                       proper_subsets_complex)
+from families import bidirected_grid
 
 EXAMPLE_PF_FACETS = ["abdfg", "abef", "acdfg", "acefg", "bcdg", "bcefg"]
 EXAMPLE_PM_FACETS = ["abcfg", "aeg", "cdf", "defg"]
@@ -244,13 +246,15 @@ def test_fpoly_long_series_chain():
 
 
 def test_frontier_state_guard(monkeypatch):
-    # The 7x7 grid holds at most 2^7 - 1 = 127 states at once.
-    g = parse_graph(grid_text(7))
-    monkeypatch.setattr(pathcomplex, "FRONTIER_STATE_LIMIT", 127)
-    assert fpoly_pm_dc(g).evaluate(1) > 0
-    monkeypatch.setattr(pathcomplex, "FRONTIER_STATE_LIMIT", 126)
-    with pytest.raises(ResourceLimitError, match="^frontier states exceed the limit of 126$"):
-        fpoly_pm_dc(g)
+    # The 7x7 grid holds at most 2^7 - 1 = 127 states at once; in file
+    # order, the breadth-first numbering keeps the bidirected 5x5 grid at 1,082.
+    for g, peak in ((parse_graph(grid_text(7)), 127), (bidirected_grid(5), 1082)):
+        monkeypatch.setattr(pathcomplex, "FRONTIER_STATE_LIMIT", peak)
+        assert fpoly_pm_dc(g).evaluate(1) > 0
+        monkeypatch.setattr(pathcomplex, "FRONTIER_STATE_LIMIT", peak - 1)
+        with pytest.raises(ResourceLimitError,
+                           match=f"^frontier states exceed the limit of {peak - 1}$"):
+            fpoly_pm_dc(g)
 
 
 # -- closed-form Euler characteristics ---------------------------------------------------

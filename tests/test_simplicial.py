@@ -8,10 +8,11 @@ from pathcomplexes import simplicial
 from pathcomplexes.errors import ResourceLimitError
 from pathcomplexes.pathcomplex import build_pf, build_pm
 from pathcomplexes.polynomial import IntPolynomial
-from pathcomplexes.simplicial import (SimplicialComplex, empty_complex,
-                                      full_simplex, irrelevant_complex,
-                                      proper_subsets_complex)
+from pathcomplexes.simplicial import SimplicialComplex
 from pathcomplexes.verify import CorpusSpec, example_graph, generate_corpus
+
+from complexes import (empty_complex, full_simplex, irrelevant_complex,
+                       proper_subsets_complex)
 
 # The corpus of acceptance criterion 7; every graph has at most 8 edges.
 CORPUS_SPEC = CorpusSpec(graph_count=500, seed=1)
