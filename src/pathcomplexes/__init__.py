@@ -19,7 +19,7 @@ from .pathcomplex import (ChiReport, DivisibilityReport, HomotopyClass,
                           build_pf, build_pf_r, build_pm, build_pm_r,
                           check_divisibility, chi_pf_closed, chi_pm_closed,
                           fpoly_pf_dc, fpoly_pm_dc, homotopy_pf, homotopy_pm,
-                          pf_member, pf_r_member, pm_member, pm_r_member)
+                          pf_member, pm_member)
 from .polynomial import IntPolynomial, poly_divisibility
 from .simplicial import BettiVector, SimplicialComplex
 from .verify import (CorpusSpec, VerificationReport, generate_corpus,
@@ -35,6 +35,6 @@ __all__ = [
     "build_pm_r", "check_divisibility", "chi_pf_closed", "chi_pm_closed",
     "format_graph", "fpoly_pf_dc", "fpoly_pm_dc", "generate_corpus",
     "homotopy_pf", "homotopy_pm", "is_combinatorial_grape", "is_strong_grape",
-    "parse_graph", "pf_member", "pf_r_member", "pm_member", "pm_r_member",
-    "poly_divisibility", "replay_certificate", "run_all_checks", "verify_corpus",
+    "parse_graph", "pf_member", "pm_member", "poly_divisibility",
+    "replay_certificate", "run_all_checks", "verify_corpus",
 ]

@@ -23,9 +23,10 @@ each line as it reads it, and the minors of an already valid graph.
 Every query walks one cached adjacency of (position, neighbour) pairs, in
 the order of ``edges``, where position i is ``edges[i]``; ``_position``
 is the one map from edge ids to positions.  An edge mask is an int
-whose bit i stands for that edge; -1 holds every edge.  Flows and
-reachability under a mask index edges by position, with a flow state of
-one byte per edge, so no per-edge int is as wide as the edge count.
+whose bit i stands for that edge; -1 holds every edge.  The one search
+under a mask is the flow, which indexes edges by position, with a flow
+state of one byte per edge, so no per-edge int is as wide as the edge
+count; reachability under a mask is a flow with limit 1.
 """
 
 from __future__ import annotations
@@ -211,27 +212,11 @@ class Digraph:
         """Reachability of t from s using only the given edges.
 
         Same answer as ``subgraph(edge_ids).has_st_path()`` without
-        building the restricted graph; ids the graph lacks raise
-        ``ValueError``, as they do there.
+        building the restricted graph: one augmenting step of the flow
+        under the edge mask.  Ids the graph lacks raise ``ValueError``,
+        as they do there.
         """
-        return self.reaches(self.edge_mask(edge_ids))
-
-    def reaches(self, mask: int) -> bool:
-        """True iff t is reachable from s over the edges in the edge mask."""
-        s, t = self.s, self.t
-        if s == t:
-            return True
-        out = self._adj[0]
-        seen = {s}
-        stack = [s]
-        while stack:
-            for i, w in out[stack.pop()]:
-                if mask >> i & 1 and w not in seen:
-                    if w == t:
-                        return True
-                    seen.add(w)
-                    stack.append(w)
-        return False
+        return self._max_flow(self.edge_mask(edge_ids), 1)[0] > 0
 
     def enumerate_st_paths(self) -> list[Walk]:
         """All simple s-t-paths, lexicographic by edge positions in ``edges``.

@@ -88,23 +88,13 @@ def _check_r(r: int):
         raise ValueError("r must be positive")
 
 
-def pm_member(g: Digraph, f) -> bool:
-    """True iff removing f still leaves an s-t-path."""
-    return g.reaches(~g.edge_mask(f))
-
-
-def pf_member(g: Digraph, f) -> bool:
-    """True iff f contains no s-t-path."""
-    return not g.reaches(g.edge_mask(f))
-
-
-def pm_r_member(g: Digraph, f, r: int) -> bool:
+def pm_member(g: Digraph, f, r: int = 1) -> bool:
     """True iff the complement of f contains r edge-disjoint s-t-paths."""
     _check_r(r)
     return g._max_flow(~g.edge_mask(f), r)[0] >= r
 
 
-def pf_r_member(g: Digraph, f, r: int) -> bool:
+def pf_member(g: Digraph, f, r: int = 1) -> bool:
     """True iff f contains no r edge-disjoint s-t-paths."""
     _check_r(r)
     return g._max_flow(g.edge_mask(f), r)[0] < r

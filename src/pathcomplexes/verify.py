@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import combinations
 from math import comb
 from typing import Callable
 
@@ -239,7 +240,6 @@ def _chk_pf_nonfaces(ctx: _Ctx):
 
 @_check("pm-minimal-nonfaces-are-min-cuts")
 def _chk_pm_nonfaces(ctx: _Ctx):
-    from itertools import combinations
     got = set(ctx.pm.minimal_nonfaces())
     path_sets = [p.edge_set() for p in ctx.paths]
     ids = ctx.g.edge_ids
@@ -603,9 +603,6 @@ class GraphVerification:
     graph: Digraph
     outcomes: list[CheckOutcome]
 
-    def failures(self) -> list[CheckOutcome]:
-        return [o for o in self.outcomes if o.status == "fail"]
-
 
 @dataclass
 class VerificationReport:
@@ -618,10 +615,6 @@ class VerificationReport:
                 out[o.status] += 1
         return out
 
-    def failures(self) -> list[tuple[int, Digraph, CheckOutcome]]:
-        return [(gv.index, gv.graph, o)
-                for gv in self.graphs for o in gv.failures()]
-
     def to_lines(self) -> list[str]:
         lines = [f"{gv.index} {o.check_id} {o.status}"
                  for gv in self.graphs for o in gv.outcomes]
@@ -631,11 +624,8 @@ class VerificationReport:
         return lines
 
     def failure_payloads(self) -> list[str]:
-        blocks = []
-        for index, graph, outcome in self.failures():
-            blocks.append(f"FAIL graph {index} check {outcome.check_id}: "
-                          f"{outcome.detail}\n{format_graph(graph)}")
-        return blocks
+        return [f"FAIL graph {gv.index} check {o.check_id}: {o.detail}\n{format_graph(gv.graph)}"
+                for gv in self.graphs for o in gv.outcomes if o.status == "fail"]
 
 
 def run_all_checks(g: Digraph) -> list[CheckOutcome]:

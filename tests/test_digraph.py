@@ -8,8 +8,8 @@ import pytest
 
 from pathcomplexes.digraph import QUASI_CYCLE_PACKING_LIMIT, Digraph, Walk
 from pathcomplexes.errors import ResourceLimitError
-from pathcomplexes.pathcomplex import (build_pf_r, build_pm_r, pf_r_member,
-                                       pm_r_member)
+from pathcomplexes.pathcomplex import (build_pf_r, build_pm_r, pf_member,
+                                       pm_member)
 from pathcomplexes.verify import (CorpusSpec, double_cycle_graph,
                                   edgeless_graph, example_graph,
                                   generate_corpus, loop_graph, parallel_graph,
@@ -518,10 +518,26 @@ def test_flows_on_minors_whose_edge_positions_are_not_their_ids():
                 pm, pf = build_pm_r(h, r), build_pf_r(h, r)
                 for f in subsets:
                     mask = sum(1 << h.edge_ids.index(e) for e in f)
-                    assert (mask in pm.faces) == pm_r_member(h, f, r), (h, f, r)
-                    assert (mask in pf.faces) == pf_r_member(h, f, r), (h, f, r)
+                    assert (mask in pm.faces) == pm_member(h, f, r), (h, f, r)
+                    assert (mask in pf.faces) == pf_member(h, f, r), (h, f, r)
             member_checked += 1
     assert shifted > 3000 and cut_checked > 3000 and member_checked > 150
+
+
+def test_member_flows_match_the_subgraph_searches():
+    # The membership oracles run a flow under an edge mask; the subgraph
+    # answers from its cached breadth-first search, a separate search.
+    checked = 0
+    for g in oracle_graphs():
+        if len(g.edges) > 10:
+            continue
+        ids = set(g.edge_ids)
+        for k in range(len(g.edges) + 1):
+            for f in combinations(g.edge_ids, k):
+                assert pm_member(g, f) == g.subgraph(ids - set(f)).has_st_path(), (g, f)
+                assert pf_member(g, f) == (not g.subgraph(f).has_st_path()), (g, f)
+                checked += 1
+    assert checked > 40000
 
 
 def test_min_cut_on_large_graphs():

@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from pathcomplexes import pathcomplex
+from pathcomplexes import pathcomplex, simplicial
 from pathcomplexes.digraph import Digraph
 from pathcomplexes.errors import ResourceLimitError
 from pathcomplexes.graphio import parse_graph
@@ -15,8 +15,7 @@ from pathcomplexes.pathcomplex import (CASE_EMPTY_EDGE, CASE_GENERIC_ACYCLIC,
                                        check_divisibility, chi_pf_closed,
                                        chi_pm_closed, fpoly_pf_dc, fpoly_pm_dc,
                                        homotopy_pf, homotopy_pm, pf_member,
-                                       pf_r_member, pm_member, pm_r_member,
-                                       sphere)
+                                       pm_member, sphere)
 from pathcomplexes.polynomial import IntPolynomial
 from pathcomplexes.simplicial import SimplicialComplex
 from pathcomplexes.verify import (CorpusSpec, double_cycle_graph, edgeless_graph,
@@ -87,7 +86,7 @@ def test_membership_validates_edge_ids():
     with pytest.raises(ValueError):
         pm_member(example_graph(), frozenset({42}))
     with pytest.raises(ValueError):
-        pf_r_member(example_graph(), frozenset({42}), 1)
+        pf_member(example_graph(), frozenset({42}), 1)
 
 
 # -- construction ------------------------------------------------------------------
@@ -137,8 +136,8 @@ def test_r_one_reduces_to_plain_complexes(multigraphs):
             pm, pf = build_pm_r(g, r), build_pf_r(g, r)
             for f in subsets:
                 mask = g.edge_mask(f)
-                assert (mask in pm.faces) == pm_r_member(g, f, r), (g, f, r)
-                assert (mask in pf.faces) == pf_r_member(g, f, r), (g, f, r)
+                assert (mask in pm.faces) == pm_member(g, f, r), (g, f, r)
+                assert (mask in pf.faces) == pf_member(g, f, r), (g, f, r)
 
 
 # -- f-polynomials by the frontier pass -----------------------------------------------
@@ -344,6 +343,30 @@ def test_homotopy_parallel_is_sphere():
         assert build_pm(parallel_graph(k)) == proper_subsets_complex(range(k))
 
 
+def test_element_matchings_certify_the_homotopy_class():
+    # Discrete Morse theory with the empty face as a cell: one critical cell
+    # at size d + 1 makes a d-sphere, none a contractible complex, unless the
+    # complex has no faces at all.  Ground or reversed order leaves at most
+    # one cell on every complex here, and each such order must agree.
+    checked = 0
+    for spec in (CorpusSpec(200), CorpusSpec(2000, max_vertices=7, max_edges=12, seed=9)):
+        for g in generate_corpus(spec):
+            for c, cls in ((build_pm(g), homotopy_pm(g)), (build_pf(g), homotopy_pf(g))):
+                n = len(c.ground)
+                counts = [simplicial._critical_counts(c.table, n, order)
+                          for order in (range(n), reversed(range(n)))]
+                decided = [k for k in counts if sum(k) <= 1]
+                assert decided, (g, cls, counts)
+                for critical in decided:
+                    if cls.kind == "sphere":
+                        assert critical[cls.dim + 1] == 1, (g, cls, critical)
+                    else:
+                        assert sum(critical) == 0, (g, cls, critical)
+                        assert c.is_empty() == (cls.kind == "empty"), (g, cls)
+                checked += 1
+    assert checked == 2 * (214 + 2014)
+
+
 # -- divisibility -----------------------------------------------------------------------------
 
 
@@ -373,15 +396,15 @@ def test_divisibility_remainders_have_low_degree():
 
 def test_r_membership_on_triple_bundle():
     g = parallel_graph(3)
-    assert pm_r_member(g, frozenset({0}), 2)
-    assert not pm_r_member(g, frozenset({0, 1}), 2)
-    assert pf_r_member(g, frozenset({0}), 2)
-    assert not pf_r_member(g, frozenset({0, 1}), 1)
+    assert pm_member(g, frozenset({0}), 2)
+    assert not pm_member(g, frozenset({0, 1}), 2)
+    assert pf_member(g, frozenset({0}), 2)
+    assert not pf_member(g, frozenset({0, 1}), 1)
 
 
 def test_r_membership_requires_positive_r():
     with pytest.raises(ValueError):
-        pm_r_member(parallel_graph(2), frozenset(), 0)
+        pm_member(parallel_graph(2), frozenset(), 0)
     for build in (build_pm_r, build_pf_r):
         with pytest.raises(ValueError):
             build(parallel_graph(2), 0)
@@ -389,8 +412,8 @@ def test_r_membership_requires_positive_r():
 
 def test_r_membership_when_s_equals_t():
     g = loop_graph()
-    assert pm_r_member(g, frozenset({0}), 5)
-    assert not pf_r_member(g, frozenset(), 5)
+    assert pm_member(g, frozenset({0}), 5)
+    assert not pf_member(g, frozenset(), 5)
 
 
 def test_rgen_euler_characteristics():
