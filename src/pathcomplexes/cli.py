@@ -122,7 +122,8 @@ def _format_certificate(cert: GrapeNode, labels: dict[int, str]) -> str:
     The search memo shares subtrees, so the certificate is a DAG; the
     printout still repeats a shared subtree in full wherever it occurs.
     Each distinct (node, depth) block is formatted once, keyed on the
-    node's id as in ``grapes._replay``, and reused by every occurrence.
+    node's id as ``grapes.replay_certificate`` keys its memo, and reused
+    by every occurrence.
     """
     def name(x: int) -> str:
         return labels.get(x, str(x))

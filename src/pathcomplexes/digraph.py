@@ -148,18 +148,17 @@ class Digraph:
             return {eid: str(eid) for eid in self.edge_ids}
         return {eid: lbl for (eid, _, _), lbl in zip(self.edges, self.edge_labels)}
 
-    def _require_edge(self, e: int) -> tuple[Vertex, Vertex]:
-        try:
-            return self.edges[self._position[e]][1:]
-        except KeyError:
-            raise ValueError(f"unknown edge id {e}") from None
-
     # -- deletion and contraction ------------------------------------------
 
     def delete_edge(self, e: int) -> "Digraph":
         """Remove edge e; vertices and the s, t roles are unchanged."""
-        self._require_edge(e)
-        return self.subgraph(eid for eid in self.edge_ids if eid != e)
+        try:
+            i = self._position[e]
+        except KeyError:
+            raise ValueError(f"unknown edge id {e}") from None
+        labels = self.edge_labels
+        return Digraph._trusted(self.vertices, self.edges[:i] + self.edges[i + 1:],
+                                self.s, self.t, labels and labels[:i] + labels[i + 1:])
 
     def contract_edge(self, e: int) -> "Digraph":
         """Identify the endpoints of e and drop e itself.
@@ -169,8 +168,8 @@ class Digraph:
         inherits the role (both roles if e ran from s to t).  Contracting
         a self-loop is the same as deleting it.
         """
-        u, v = self._require_edge(e)
         g = self.delete_edge(e)
+        u, v = self.edges[self._position[e]][1:]
         if u == v:
             return g
         merge = lambda w: u if w == v else w
@@ -503,8 +502,7 @@ class Digraph:
         out, inc = self._adj
         # state[i]: 1 while edge i may take a unit, 2 while it carries one,
         # 0 when the mask leaves it out; an augmenting step flips 1 and 2.
-        state = (bytearray(b"\1") * len(self.edges) if mask == -1
-                 else bytearray(mask >> i & 1 for i in range(len(self.edges))))
+        state = _mask_flags(mask, len(self.edges))
         value = 0
         while limit is None or value < limit:
             how: dict = {s: None}
@@ -548,6 +546,16 @@ class Digraph:
             raise ValueError("no cut-set exists when s = t")
         _, side = self._max_flow()
         return sum(1 for _, u, v in self.edges if u in side and v not in side)
+
+
+_FLAG = bytes.maketrans(b"01", b"\0\1")
+
+
+def _mask_flags(mask: int, m: int) -> bytearray:
+    """Byte i is bit i of the edge mask, for the m edges; a negative mask
+    holds the edges its low m bits hold.  One ``format`` of the m low bits
+    under a leading 1, which fixes the width, read backwards."""
+    return bytearray(format(mask & (1 << m) - 1 | 1 << m, "b")[:0:-1], "ascii").translate(_FLAG)
 
 
 def _max_disjoint(masks: list[int]) -> tuple[int, ...]:

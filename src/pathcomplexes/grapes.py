@@ -4,10 +4,16 @@ Both classes are defined by peeling one ground element a at a time: the
 link and the deletion at a must again be grapes, plus a side condition.
 For strong grapes at least one of link/deletion must be a cone; for
 combinatorial grapes some cone must sit between them.  Recognition
-returns a certificate tree that replay re-checks on face tables: a sandwich
-at b needs L - b inside lk_D(b), for the closed link L and the deletion D.
-For a digraph's two complexes the peeling can follow the edges out of s,
-walking the edge-deleted and edge-contracted graphs alongside.
+returns a certificate tree that replay re-checks: a sandwich at b needs
+L - b inside lk_D(b), for the closed link L and the deletion D.
+
+Search, replay and the source-apex walk never build a smaller complex: a
+node is (free, table), the mask of the top ground positions still present
+and a face table in the top complex's 2^n layout.  At position i, of
+pattern P[i], the link is ``(table & P[i]) >> 2^i`` and the deletion
+``table & ~P[i]``; positions are tried in ground order.  On a digraph's
+complexes the walk peels the edges out of s and tracks the set S of
+vertices contracted into s instead of building graph minors.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from typing import Optional, Union
 
 from .digraph import Digraph
 from .errors import ResourceLimitError
-from .simplicial import SimplicialComplex, _patterns
+from .simplicial import SimplicialComplex, _is_cone, _patterns
 
 GRAPE_GROUND_LIMIT = 12
 
@@ -69,101 +75,138 @@ def _check_ground(n: int):
             f"ground size {n} exceeds the grape search limit of {GRAPE_GROUND_LIMIT}")
 
 
-def find_cone_witness(link: SimplicialComplex,
-                      deletion: SimplicialComplex) -> Optional[ConeWitness]:
-    """First cone apex found on either child, link side preferred."""
-    for w in link.ground:
-        if link.is_cone_with_apex(w):
-            return ConeWitness("link", w)
-    for w in deletion.ground:
-        if deletion.is_cone_with_apex(w):
-            return ConeWitness("deletion", w)
+def _split(table: int, i: int, p: int) -> tuple[int, int]:
+    """The link and the deletion of ``table`` at position i, of pattern p."""
+    return (table & p) >> (1 << i), table & ~p
+
+
+def _cone(ground, pats, free: int, link: int, deletion: int) -> Optional[ConeWitness]:
+    """First cone apex in ``free`` on either child, link side preferred."""
+    for side, table in (("link", link), ("deletion", deletion)):
+        for j, p in enumerate(pats):
+            if free >> j & 1 and _is_cone(table, j, p):
+                return ConeWitness(side, ground[j])
     return None
 
 
-def _sandwich_witness(link: SimplicialComplex,
-                      deletion: SimplicialComplex) -> Optional[SandwichWitness]:
-    # The link and the deletion share one ground set, hence one table layout;
-    # adding b at index i to the link faces lacking it shifts them by 2^i.
-    lk = link.table
-    for i, (b, p) in enumerate(zip(deletion.ground, _patterns(len(deletion.ground)))):
-        if not (lk | lk << (1 << i)) & p & ~deletion.table:
-            return SandwichWitness(b, vacuous=not lk)
+def _sandwich(ground, pats, free: int, link: int, deletion: int) -> Optional[SandwichWitness]:
+    """First b in ``free`` with every link face plus b a deletion face."""
+    for j, p in enumerate(pats):
+        if free >> j & 1 and not (link | link << (1 << j)) & p & ~deletion:
+            return SandwichWitness(ground[j], vacuous=not link)
     return None
 
 
-def _search(c: SimplicialComplex, side_test, memo) -> Optional[GrapeNode]:
-    key = (c.ground, c.table)
-    if key in memo:
-        return memo[key]
-    node: Optional[GrapeNode] = None
-    if len(c.ground) <= 1:
-        node = BaseCase(c.ground)
-    else:
-        for a in c.ground:
-            link = c.link(a)
-            deletion = c.deletion(a)
-            side = side_test(link, deletion)
-            if side is None:
-                continue
-            link_child = _search(link, side_test, memo)
-            if link_child is None:
-                continue
-            deletion_child = _search(deletion, side_test, memo)
-            if deletion_child is None:
-                continue
-            node = Split(a, link_child, deletion_child, side)
-            break
-    memo[key] = node
-    return node
+def _base(ground, free: int) -> BaseCase:
+    """The base case on the at most one position in ``free``."""
+    return BaseCase(ground[free.bit_length() - 1:free.bit_length()])
+
+
+def _searcher(ground: tuple, side_test):
+    """The memoized search from a node of the complex on ``ground``."""
+    pats, memo = _patterns(len(ground)), {}
+
+    def search(free: int, table: int) -> Optional[GrapeNode]:
+        key = (free, table)
+        if key in memo:
+            return memo[key]
+        node: Optional[GrapeNode] = None
+        if not free & free - 1:
+            node = _base(ground, free)
+        else:
+            for i, p in enumerate(pats):
+                if not free >> i & 1:
+                    continue
+                rest = free ^ 1 << i
+                link, deletion = _split(table, i, p)
+                side = side_test(ground, pats, rest, link, deletion)
+                if side is None:
+                    continue
+                link_child = search(rest, link)
+                if link_child is None:
+                    continue
+                deletion_child = search(rest, deletion)
+                if deletion_child is None:
+                    continue
+                node = Split(ground[i], link_child, deletion_child, side)
+                break
+        memo[key] = node
+        return node
+
+    return search
 
 
 def is_strong_grape(c: SimplicialComplex) -> Optional[GrapeCertificate]:
     """Certificate that c is a strong grape, or None after exhaustive search.
 
-    Apexes are tried in ground order; results are memoized on the
-    (ground, table) pair for the duration of one call.
+    Apexes are tried in ground order; results are memoized on the node
+    for the duration of one call.
     """
     _check_ground(len(c.ground))
-    return _search(c, find_cone_witness, {})
+    return _searcher(c.ground, _cone)((1 << len(c.ground)) - 1, c.table)
 
 
 def is_combinatorial_grape(c: SimplicialComplex) -> Optional[GrapeCertificate]:
     """Certificate that c is a combinatorial grape, or None."""
     _check_ground(len(c.ground))
-    return _search(c, _sandwich_witness, {})
+    return _searcher(c.ground, _sandwich)((1 << len(c.ground)) - 1, c.table)
 
 
 def replay_certificate(cert: GrapeNode, c: SimplicialComplex) -> bool:
     """Re-verify every step of a certificate against the complex; a subtree
-    that the search memo shares is replayed once per complex."""
-    return _replay(cert, c, {})
+    that the search memo shares is replayed once per node, keyed on its id."""
+    ground = c.ground
+    pats, index, memo = _patterns(len(ground)), {x: i for i, x in enumerate(ground)}, {}
 
+    def replay(cert: GrapeNode, free: int, table: int) -> bool:
+        if isinstance(cert, BaseCase):
+            return not free & free - 1 and cert.ground == _base(ground, free).ground
+        i = index.get(cert.apex, -1) if isinstance(cert, Split) else -1
+        if i < 0 or not free >> i & 1:
+            return False
+        key = (id(cert), free, table)
+        if key not in memo:
+            rest = free ^ 1 << i
+            link, deletion = _split(table, i, pats[i])
+            side = cert.side_condition
+            if isinstance(side, ConeWitness):
+                j = index.get(side.apex, -1)
+                ok = j >= 0 and rest >> j & 1 and _is_cone(
+                    link if side.side == "link" else deletion, j, pats[j])
+            elif isinstance(side, SandwichWitness):
+                # The link's deletion at b inside the deletion's link at b.
+                j = index.get(side.element, -1)
+                ok = (j >= 0 and rest >> j & 1
+                      and not link & ~pats[j] & ~((deletion & pats[j]) >> (1 << j))
+                      and side.vacuous == (not link))
+            else:
+                ok = False
+            memo[key] = bool(ok) and replay(cert.link_child, rest, link) \
+                and replay(cert.deletion_child, rest, deletion)
+        return memo[key]
 
-def _replay(cert: GrapeNode, c: SimplicialComplex, memo) -> bool:
-    if isinstance(cert, BaseCase):
-        return cert.ground == c.ground and len(c.ground) <= 1
-    if not isinstance(cert, Split) or cert.apex not in c.ground:
-        return False
-    key = (id(cert), c.ground, c.table)
-    if key not in memo:
-        link, deletion = c.link(cert.apex), c.deletion(cert.apex)
-        side = cert.side_condition
-        if isinstance(side, ConeWitness):
-            child = link if side.side == "link" else deletion
-            ok = side.apex in child.ground and child.is_cone_with_apex(side.apex)
-        elif isinstance(side, SandwichWitness):
-            b = side.element
-            ok = (b in deletion.ground and not link.deletion(b).table & ~deletion.link(b).table
-                  and side.vacuous == link.is_empty())
-        else:
-            ok = False
-        memo[key] = (ok and _replay(cert.link_child, link, memo)
-                     and _replay(cert.deletion_child, deletion, memo))
-    return memo[key]
+    return replay(cert, (1 << len(ground)) - 1, c.table)
 
 
 # -- graph-guided certificates ------------------------------------------------------
+
+
+def _useful_out(g: Digraph, free: int, merged: frozenset) -> list[int]:
+    """Positions of the edges in ``free`` out of ``merged`` on a simple
+    s-t-path of the minor with edges ``free`` and ``merged`` contracted
+    into s: those whose head is t or reaches t by one backward search
+    from t over ``free`` that never enters ``merged``; none if t is in it."""
+    if g.t in merged:
+        return []
+    inc, reach = g._adj[1], {g.t}
+    todo = [g.t]
+    for v in todo:
+        for i, u in inc[v]:
+            if free >> i & 1 and u not in reach and u not in merged:
+                reach.add(u)
+                todo.append(u)
+    return [i for i, (_, u, v) in enumerate(g.edges)
+            if free >> i & 1 and u in merged and v in reach]
 
 
 def source_apex_strong_certificate(g: Digraph, c: SimplicialComplex,
@@ -174,29 +217,36 @@ def source_apex_strong_certificate(g: Digraph, c: SimplicialComplex,
     complex's ground share.
 
     The link and the deletion at an edge e out of s are the complexes of
-    the edge-deleted and edge-contracted graphs, so the recursion walks
-    those graphs alongside the complexes to choose the next apex.  Graphs
-    with no such edge (s = t, or no s-t-path at all) fall back to the
-    unrestricted search.
+    the edge-deleted and edge-contracted graphs, so the walk's node is
+    (free, table, S): deleting e keeps S, contracting e adds e's head.
+    Nodes with no such edge (s = t, or no s-t-path at all) fall back to
+    the unrestricted search.
     """
     _check_ground(len(c.ground))
-    if len(c.ground) <= 1:
-        return BaseCase(c.ground)
-    useless = g.useless_edges()
-    candidates = [eid for eid, u, _ in g.edges if u == g.s and eid not in useless]
-    if not candidates:
-        return is_strong_grape(c)
-    e = candidates[0]
-    link, deletion = c.link(e), c.deletion(e)
-    side = find_cone_witness(link, deletion)
-    if side is None:
-        return None
-    if which == "pm":
-        link_graph, deletion_graph = g.delete_edge(e), g.contract_edge(e)
-    else:
-        link_graph, deletion_graph = g.contract_edge(e), g.delete_edge(e)
-    link_child = source_apex_strong_certificate(link_graph, link, which)
-    deletion_child = source_apex_strong_certificate(deletion_graph, deletion, which)
-    if link_child is None or deletion_child is None:
-        return None
-    return Split(e, link_child, deletion_child, side)
+    if c.ground != g.edge_ids:
+        raise ValueError("the complex's ground is not the graph's edge ids in order")
+    ground, pats = c.ground, _patterns(len(c.ground))
+    search, memo = _searcher(ground, _cone), {}
+
+    def walk(free: int, table: int, merged: frozenset) -> Optional[GrapeNode]:
+        key = (free, table, merged)
+        if key in memo:
+            return memo[key]
+        useful = _useful_out(g, free, merged) if free & free - 1 else ()
+        node = None
+        if not useful:
+            node = search(free, table)
+        else:
+            i = useful[0]
+            rest, (link, deletion) = free ^ 1 << i, _split(table, i, pats[i])
+            side = _cone(ground, pats, rest, link, deletion)
+            joined = merged | {g.edges[i][2]}
+            link_merged, deletion_merged = (merged, joined) if which == "pm" else (joined, merged)
+            link_child = side and walk(rest, link, link_merged)
+            deletion_child = link_child and walk(rest, deletion, deletion_merged)
+            if deletion_child:
+                node = Split(ground[i], link_child, deletion_child, side)
+        memo[key] = node
+        return node
+
+    return walk((1 << len(ground)) - 1, c.table, frozenset((g.s,)))

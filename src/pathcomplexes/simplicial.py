@@ -87,6 +87,12 @@ def _above(x: int, n: int) -> int:
     return reduce(or_, (x << (1 << i) & p for i, p in enumerate(_patterns(n))), 0)
 
 
+def _is_cone(x: int, i: int, p: int) -> bool:
+    """True iff adding element i, of pattern p, to a set in the table x
+    gives a set in x: those lacking it move up by 2^i."""
+    return not (x & ~p) << (1 << i) & ~x
+
+
 def _reverse(x: int, n: int) -> int:
     """The 2^n-bit int x read from the top: bit f moves to bit 2^n - 1 - f."""
     _check_enumeration(n)
@@ -201,8 +207,7 @@ class SimplicialComplex:
 
     def is_cone_with_apex(self, w: int) -> bool:
         """True iff adding w to any face yields a face (vacuous when faceless)."""
-        i, p = self._at(w)
-        return not (self.table & ~p) << (1 << i) & ~self.table
+        return _is_cone(self.table, *self._at(w))
 
     # -- global operations -------------------------------------------------------
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
 from math import comb
 from typing import Callable
 
@@ -240,20 +239,17 @@ def _chk_pf_nonfaces(ctx: _Ctx):
 
 @_check("pm-minimal-nonfaces-are-min-cuts")
 def _chk_pm_nonfaces(ctx: _Ctx):
-    got = set(ctx.pm.minimal_nonfaces())
-    path_sets = [p.edge_set() for p in ctx.paths]
-    ids = ctx.g.edge_ids
-    # Ascending by size, so any hitting set found with a strictly smaller
-    # hitting subset is caught by the superset test; what remains is minimal.
-    minimal: set[frozenset] = set()
-    for k in range(len(ids) + 1):
-        for combo in combinations(ids, k):
-            f = frozenset(combo)
-            if any(f > h for h in minimal):
-                continue
-            if all(f & p for p in path_sets):
-                minimal.add(f)
-    if got != minimal:
+    g = ctx.g
+    got = {g.edge_mask(f) for f in ctx.pm.minimal_nonfaces()}
+    paths = [g.edge_mask(p.edges) for p in ctx.paths]
+    # Every edge mask, ascending by size, so any hitting set found with a
+    # strictly smaller hitting subset is caught by the subset test; what
+    # remains is minimal.
+    minimal: list[int] = []
+    for f in sorted(range(1 << len(g.edges)), key=int.bit_count):
+        if all(f & p for p in paths) and not any(h & f == h for h in minimal):
+            minimal.append(f)
+    if got != set(minimal):
         return _fail("minimal non-faces differ from minimal cut-sets")
     return _PASS
 

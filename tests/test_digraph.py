@@ -6,7 +6,8 @@ from typing import Iterator
 
 import pytest
 
-from pathcomplexes.digraph import QUASI_CYCLE_PACKING_LIMIT, Digraph, Walk
+from pathcomplexes.digraph import (QUASI_CYCLE_PACKING_LIMIT, Digraph, Walk,
+                                   _mask_flags)
 from pathcomplexes.errors import ResourceLimitError
 from pathcomplexes.pathcomplex import (build_pf_r, build_pm_r, pf_member,
                                        pm_member)
@@ -413,6 +414,21 @@ def test_edge_mask_is_the_sum_of_its_position_bits():
             assert g.edge_mask(repeated) == sum(1 << pos[e] for e in set(subset))
     with pytest.raises(ValueError, match="^not an edge id of the graph: 99$"):
         example_graph().edge_mask([0, 99])
+
+
+def test_flow_state_decodes_every_mask_bit_by_position():
+    # The flow reads byte i of its state as bit i of the mask, the edge at
+    # position i, whatever the ids; the negative masks pm_member passes,
+    # ~edge_mask(f), hold every edge outside f, and bits past the last edge
+    # are dropped.
+    rng = random.Random(49)
+    graphs = [with_gapped_ids(random_multigraph(rng), rng) for _ in range(100)]
+    for g in graphs + [with_gapped_ids(path_graph(1500), rng)]:
+        m, ids = len(g.edges), list(g.edge_ids)
+        for f in [[], ids] + [rng.sample(ids, rng.randint(0, m)) for _ in range(3)]:
+            mask = g.edge_mask(f)
+            for x in (mask, ~mask, mask | 1 << m + 3, -1):
+                assert _mask_flags(x, m) == bytearray(x >> i & 1 for i in range(m)), (g, f, x)
 
 
 def test_packing_matches_brute_force():

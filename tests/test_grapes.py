@@ -9,11 +9,12 @@ from pathcomplexes.grapes import (BaseCase, ConeWitness, SandwichWitness,
                                   is_strong_grape, replay_certificate,
                                   source_apex_strong_certificate)
 from pathcomplexes.pathcomplex import build_pf, build_pm
-from pathcomplexes.simplicial import SimplicialComplex
+from pathcomplexes.simplicial import SimplicialComplex, _patterns
 from pathcomplexes.verify import (CorpusSpec, double_cycle_graph,
                                   example_graph, fixture_battery,
                                   generate_corpus, parallel_graph)
 
+import grape_reference as reference
 from complexes import empty_complex, full_simplex, irrelevant_complex
 from families import grid_graph
 
@@ -85,14 +86,17 @@ def test_projective_plane_is_not_a_grape():
     assert is_combinatorial_grape(c) is None
 
 
-def test_sandwich_witness_matches_the_face_rule(monkeypatch):
+def test_sandwich_witness_matches_the_face_rule():
     # The table test against its definition: the first element b such that
-    # every link face with b added is a deletion face.  Pairs are taken both
-    # ways round, so the second complex need not contain the first, and also
-    # with the empty face dropped from the first, which leaves it not closed.
-    # On the closed pairs, replay's verdict on each element is held to the
-    # same rule: a fresh apex -1 puts x under y as link over deletion, and
-    # the children are accepted, so only the sandwich step decides.
+    # every link face with b added is a deletion face.  The pairs are the
+    # link and the deletion at each apex in the top complex's layout, taken
+    # both ways round, so the second need not contain the first, and also
+    # with the empty face dropped from the first, which leaves it not
+    # closed; the rule reads the faces of the squeezed complexes.  On the
+    # closed pairs, replay's verdict on each element is held to the same
+    # rule: a fresh apex -1 puts x under y as link over deletion, over
+    # children certified by the combinatorial search, so only the sandwich
+    # step decides.
     def rule(link, deletion, i):
         return all(f | 1 << i in deletion.faces for f in link.faces)
 
@@ -102,23 +106,28 @@ def test_sandwich_witness_matches_the_face_rule(monkeypatch):
                 return SandwichWitness(b, vacuous=not link.faces)
         return None
 
-    replay = grapes._replay
-    monkeypatch.setattr(grapes, "_replay", lambda cert, c, memo: True)
     checked = replayed = 0
     for g in generate_corpus(CorpusSpec(graph_count=120, seed=2)):
         for c in (build_pm(g), build_pf(g)):
-            for a in c.ground:
-                link, deletion = c.link(a), c.deletion(a)
-                for x, y in ((link, deletion), (deletion, link)):
-                    for z in (x, SimplicialComplex(x.ground, x.table & ~1)):
-                        assert grapes._sandwich_witness(z, y) == by_faces(z, y), (g, a)
+            n = len(c.ground)
+            pats = _patterns(n)
+            for i, a in enumerate(c.ground):
+                rest = (1 << n) - 1 ^ 1 << i
+                tables = grapes._split(c.table, i, pats[i])
+                squeezed = c.link(a), c.deletion(a)
+                for (x, y), (cx, cy) in ((tables, squeezed), (tables[::-1], squeezed[::-1])):
+                    for z, cz in ((x, cx), (x & ~1, SimplicialComplex(cx.ground, cx.table & ~1))):
+                        got = grapes._sandwich(c.ground, pats, rest, z, y)
+                        assert got == by_faces(cz, cy), (g, a)
                         checked += 1
-                    above = SimplicialComplex((*x.ground, -1),
-                                              y.table | x.table << (1 << len(x.ground)))
-                    for i, b in enumerate(x.ground):
-                        cert = Split(-1, BaseCase(()), BaseCase(()),
-                                     SandwichWitness(b, vacuous=not x.faces))
-                        assert replay(cert, above, {}) == rule(x, y, i), (g, a, b)
+                    above = SimplicialComplex((*cx.ground, -1),
+                                              cy.table | cx.table << (1 << len(cx.ground)))
+                    children = is_combinatorial_grape(cx), is_combinatorial_grape(cy)
+                    assert replay_certificate(children[0], cx)
+                    assert replay_certificate(children[1], cy)
+                    for j, b in enumerate(cx.ground):
+                        cert = Split(-1, *children, SandwichWitness(b, vacuous=not cx.faces))
+                        assert replay_certificate(cert, above) == rule(cx, cy, j), (g, a, b)
                         replayed += 1
     assert checked > 4000 and replayed > 8000
 
@@ -126,7 +135,8 @@ def test_sandwich_witness_matches_the_face_rule(monkeypatch):
 def test_replay_visits_each_shared_node_once(monkeypatch):
     # The search memo shares subtrees, so the 3x3 grid's strong certificate
     # for pm is a DAG with far more paths than distinct nodes.  Replay must
-    # take one link and one deletion per distinct (node, complex) split.
+    # take one link and one deletion, one ``_split``, per distinct (node,
+    # complex) split; the walk below counts them on squeezed complexes.
     c = build_pm(grid_graph(3, 3))
     cert = is_strong_grape(c)
     paths, splits = 0, set()
@@ -141,17 +151,17 @@ def test_replay_visits_each_shared_node_once(monkeypatch):
 
     walk(cert, c)
     assert paths > 10 * len(splits)
-    calls = {"link": 0, "deletion": 0}
-    for name in calls:
-        original = getattr(SimplicialComplex, name)
+    calls = 0
+    split = grapes._split
 
-        def counted(self, w, name=name, original=original):
-            calls[name] += 1
-            return original(self, w)
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return split(*args)
 
-        monkeypatch.setattr(SimplicialComplex, name, counted)
+    monkeypatch.setattr(grapes, "_split", counted)
     assert replay_certificate(cert, c)
-    assert calls == {"link": len(splits), "deletion": len(splits)}
+    assert calls == len(splits)
 
 
 def test_replay_rejects_mismatched_certificates():
@@ -168,6 +178,11 @@ def test_replay_rejects_mismatched_certificates():
     forged = Split(cert.apex, cert.link_child, cert.deletion_child,
                    ConeWitness("link", 99))
     assert not replay_certificate(forged, pm)
+    # One child object in both places: the link and the deletion share
+    # their ground, so only the face table tells the two replays apart.
+    assert not replay_certificate(cert.link_child, pm.deletion(cert.apex))
+    shared = Split(cert.apex, cert.link_child, cert.link_child, cert.side_condition)
+    assert not replay_certificate(shared, pm)
 
 
 def test_replay_rejects_forged_side_conditions():
@@ -228,26 +243,66 @@ def test_source_apex_restricted_search_succeeds():
             assert isinstance(cert, Split) and cert.apex == wanted
 
 
-def test_source_apex_walk_hands_down_the_minor_complexes(monkeypatch):
-    # Each node of the walk takes the link or the deletion of its parent as
-    # the complex of its graph, which is G minus e or G/e; enumerate that
-    # minor's complex independently at every node and compare.
-    walk = grapes.source_apex_strong_certificate
+CORPORA = [CorpusSpec(graph_count=200, seed=1), CorpusSpec(graph_count=200, seed=9)]
+
+
+@pytest.mark.parametrize("spec", CORPORA, ids=lambda spec: f"seed{spec.seed}")
+def test_searches_match_the_squeezing_reference(spec):
+    # The three searches on the top complex's face table against the
+    # reference that squeezes every link and deletion into a new complex
+    # and walks graph minors: the same certificate, to the last repr byte.
+    for g in generate_corpus(spec):
+        for which, build in (("pm", build_pm), ("pf", build_pf)):
+            c = build(g)
+            pairs = ((is_strong_grape(c), reference.search(c, reference.cone_witness)),
+                     (is_combinatorial_grape(c), reference.search(c, reference.sandwich_witness)),
+                     (source_apex_strong_certificate(g, c, which),
+                      reference.minor_walk(g, c, which)))
+            for got, want in pairs:
+                assert want is not None and repr(got) == repr(want), (g, which)
+
+
+def test_source_apex_walk_hands_down_the_minor_complexes():
+    # Each node of the reference walk takes the link or the deletion of its
+    # parent as the complex of its graph, which is G minus e or G/e;
+    # enumerate that minor's complex independently at every node and compare.
     nodes = 0
-
-    def checked(g, c, which):
-        nonlocal nodes
-        nodes += 1
-        assert c == (build_pm(g) if which == "pm" else build_pf(g))
-        return walk(g, c, which)
-
-    monkeypatch.setattr(grapes, "source_apex_strong_certificate", checked)
     # The corpus of acceptance criterion 7: at most 8 edges per graph, all
     # within the grape search limit.
     corpus = generate_corpus(CorpusSpec(graph_count=500, seed=1))
     for g in corpus:
         for which, build in (("pm", build_pm), ("pf", build_pf)):
+
+            def visit(h, c):
+                nonlocal nodes
+                nodes += 1
+                assert c == build(h), (g, h)
+
             c = build(g)
-            cert = checked(g, c, which)
+            cert = reference.minor_walk(g, c, which, visit)
             assert cert is not None and replay_certificate(cert, c)
     assert nodes > 2 * len(corpus)  # the walk went below its roots
+
+
+def test_useful_source_edges_match_useless_edges():
+    # On every minor the walk reaches, in either order of deleting and
+    # contracting, the edges out of the contracted set S that the backward
+    # search from t keeps are the edges out of s that ``useless_edges``
+    # leaves.  The walk tracks (free, S) next to the minor it builds.
+    minors = 0
+    corpus = generate_corpus(CorpusSpec(graph_count=500, seed=1))
+    for g in corpus:
+        todo = [(g, (1 << len(g.edges)) - 1, frozenset((g.s,)))]
+        while todo:
+            h, free, merged = todo.pop()
+            minors += 1
+            useless = h.useless_edges()
+            want = [g._position[eid] for eid, u, _ in h.edges
+                    if u == h.s and eid not in useless]
+            assert grapes._useful_out(g, free, merged) == want, (g, h)
+            if want:
+                i = want[0]
+                e = g.edges[i][0]
+                todo += [(h.delete_edge(e), free ^ 1 << i, merged),
+                         (h.contract_edge(e), free ^ 1 << i, merged | {g.edges[i][2]})]
+    assert minors > 2 * len(corpus)
