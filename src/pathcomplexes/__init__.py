@@ -18,8 +18,7 @@ from .grapes import (GrapeCertificate, is_combinatorial_grape, is_strong_grape,
 from .pathcomplex import (ChiReport, DivisibilityReport, HomotopyClass,
                           build_pf, build_pf_r, build_pm, build_pm_r,
                           check_divisibility, chi_pf_closed, chi_pm_closed,
-                          fpoly_pf_dc, fpoly_pm_dc, homotopy_pf, homotopy_pm,
-                          pf_member, pm_member)
+                          fpoly_pf_dc, fpoly_pm_dc, homotopy_pf, homotopy_pm)
 from .polynomial import IntPolynomial, poly_divisibility
 from .simplicial import BettiVector, SimplicialComplex
 from .verify import (CorpusSpec, VerificationReport, generate_corpus,
@@ -35,6 +34,6 @@ __all__ = [
     "build_pm_r", "check_divisibility", "chi_pf_closed", "chi_pm_closed",
     "format_graph", "fpoly_pf_dc", "fpoly_pm_dc", "generate_corpus",
     "homotopy_pf", "homotopy_pm", "is_combinatorial_grape", "is_strong_grape",
-    "parse_graph", "pf_member", "pm_member", "poly_divisibility",
+    "parse_graph", "poly_divisibility",
     "replay_certificate", "run_all_checks", "verify_corpus",
 ]

@@ -8,22 +8,23 @@ For a graph with distinguished vertices s and t:
 
 Both are built here explicitly, as truth tables of reachability over the
 edge subsets, the path-free one from s and the path-missing one from t.
-One frontier pass counts the path-missing f-polynomial, and Alexander
-duality gives the path-free one.  A closed form finds each complex empty,
-contractible or a sphere, and its reduced Euler characteristic follows
-from the class; powers of (1+x) are checked to divide the f-polynomials.
+One frontier pass counts the path-missing f-polynomial, on the useful
+edges with every run through vertices of one edge in and one out merged
+into one edge, and Alexander duality gives the path-free one.  A closed
+form finds each complex empty, contractible or a sphere, and its reduced
+Euler characteristic follows from the class; powers of (1+x) are checked
+to divide the f-polynomials.
 The r-edge-disjoint complexes grow the path-free table by Menger's theorem.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 from typing import Optional
 
 from .digraph import Digraph
 from .errors import ResourceLimitError
-from .polynomial import IntPolynomial, poly_divisibility
+from .polynomial import IntPolynomial, binomials, poly_divisibility
 from .simplicial import SimplicialComplex, _above, _dual, _patterns, _reverse
 
 BUILD_EDGE_LIMIT = 20
@@ -80,27 +81,12 @@ class DivisibilityReport:
     pf_remainder: IntPolynomial
 
 
-# -- membership oracles ------------------------------------------------------
+# -- explicit construction ------------------------------------------------------
 
 
 def _check_r(r: int):
     if r < 1:
         raise ValueError("r must be positive")
-
-
-def pm_member(g: Digraph, f, r: int = 1) -> bool:
-    """True iff the complement of f contains r edge-disjoint s-t-paths."""
-    _check_r(r)
-    return g._max_flow(~g.edge_mask(f), r)[0] >= r
-
-
-def pf_member(g: Digraph, f, r: int = 1) -> bool:
-    """True iff f contains no r edge-disjoint s-t-paths."""
-    _check_r(r)
-    return g._max_flow(g.edge_mask(f), r)[0] < r
-
-
-# -- explicit construction ------------------------------------------------------
 
 
 def _edge_count(g: Digraph, limit: int) -> int:
@@ -187,36 +173,69 @@ def build_pf_r(g: Digraph, r: int, limit: int = BUILD_EDGE_LIMIT) -> SimplicialC
 def _dual_fpoly(f: IntPolynomial, n: int) -> IntPolynomial:
     """f-polynomial of the Alexander dual on n ground elements:
     coefficient k is C(n, k) - f[n - k]."""
-    return IntPolynomial(comb(n, k) - f[n - k] for k in range(n + 1))
+    row = binomials(n)
+    for k, c in enumerate(f.coeffs):
+        row[n - k] -= c
+    return IntPolynomial(row)
+
+
+def _series_reduced(edges: list) -> list:
+    """The useful edges (a, b) as (a, b, n) triples, each run of n edges
+    through inner vertices, those with one edge in and one edge out, merged
+    into one edge from its first tail to its last head; a run that closes
+    on itself is left out.  Neither s (no useful edge in) nor t (none out)
+    is inner."""
+    outs, ins = {}, {}
+    for a, b in edges:
+        outs[a] = outs.get(a, 0) + 1
+        ins[b] = ins.get(b, 0) + 1
+    inner = {x for x, d in ins.items() if d == 1 and outs.get(x) == 1}
+    if not inner:
+        return [(a, b, 1) for a, b in edges]
+    after = {a: b for a, b in edges if a in inner}  # inner vertex -> its one head
+    chains = []
+    for a, b in edges:
+        if a not in inner:
+            n = 1
+            while b in inner:
+                b, n = after[b], n + 1
+            if a != b:
+                chains.append((a, b, n))
+    return chains
 
 
 def fpoly_pm_dc(g: Digraph) -> IntPolynomial:
     """f-polynomial of the path-missing complex by one frontier pass.
 
     f[k] counts the removed edge sets of size k whose kept edges hold an
-    s-t-path.  The pass takes the edges that reachability leaves useful, by
-    their endpoints' breadth-first positions from s.  A state holds what s
-    reaches and, per vertex s does not reach, what that vertex reaches; a
-    vertex counts as reached until its last edge out (t for good) and as
-    reaching until its last edge in.  States map to their counts by size,
-    packed w bits per size.  A state in which s reaches nothing live is
-    dropped; a kept set that reaches t leaves the states and is free on
+    s-t-path.  The pass takes the edges that reachability leaves useful,
+    after series reduction: a run of n edges through vertices with one
+    useful edge in and one out is kept whole or cut, so it is one edge whose
+    cut weighs the (1+x)^n - 1 nonempty removed subsets of the run, and a
+    run that closes on itself lies on no simple s-t-path and is free.  The
+    edges go by their endpoints' breadth-first positions from s.  A state
+    holds what s reaches and, per vertex s does not reach, what that vertex
+    reaches; a vertex counts as reached until its last edge out (t for good)
+    and as reaching until its last edge in.  States map to their counts by
+    size, packed w bits per size.  A state in which s reaches nothing live
+    is dropped; a kept set that reaches t leaves the states and is free on
     every later or useless edge.  Over ``FRONTIER_STATE_LIMIT`` states raise
     ``ResourceLimitError``.
     """
     pos = {v: i for i, v in enumerate(g._from_s)}  # vertex -> breadth-first position
-    edges = sorted(((pos[u], pos[v]) for eid, u, v in g.edges if eid not in g._useless_by_reach),
-                   key=lambda e: (min(e), max(e)))
+    edges = sorted(_series_reduced([(pos[u], pos[v]) for eid, u, v in g.edges
+                                    if eid not in g._useless_by_reach]),
+                   key=lambda e: (e[0], e[1]) if e[0] < e[1] else (e[1], e[0]))
     last_out, last_in = ({e[j]: i for i, e in enumerate(edges)} for j in (0, 1))
-    first = {x: i for i, e in reversed(tuple(enumerate(edges))) for x in e}
+    first = {x: i for i, (a, b, _) in reversed(tuple(enumerate(edges))) for x in (a, b)}
     m, t = len(g.edges), 1 << pos[g.t] if g.t in pos else 0
     w = 8 * (m // 8 + 1)  # w bits hold any count of edge sets
     rows: list = []  # the positions of the vertices asked what they reach
     done = int(g.s == g.t)  # the counts of the sets that reach t (with s = t, all)
     states = {} if done else {(1, ()): 1}  # (mask s reaches, masks rows reach) -> counts
-    for i, (a, b) in enumerate(edges):
-        u, v = 1 << a, 1 << b
-        done += done << w
+    free = m  # less each run's length: the useless edges and those of closed runs
+    for i, (a, b, n) in enumerate(edges):
+        u, v, free = 1 << a, 1 << b, free - n
         gone = u if last_out[a] == i else 0
         fresh = first[b] == i  # b is asked what it reaches from this edge on
         if first[a] == i and a in last_in or fresh != (last_in[b] == i):  # the rows change
@@ -230,11 +249,17 @@ def fpoly_pm_dc(g: Digraph) -> IntPolynomial:
             grow, keep = (v,) * fresh, range(len(rows))
             vrow = len(rows) if fresh else rows.index(b)
         old, states = states, {}
+        if n == 1:
+            done += done << w
+        else:  # a run's cut: (1+x)^n - 1, packed, formed only if a set survives it
+            cut = (1 + (1 << w)) ** n - 1 if done or any(r & ~gone for r, _ in old) else 0
+            done += done * cut
         for (reach, rel), cnt in old.items():
             rel += grow
             rv = rel[vrow]
-            for at, to, c in ((reach, rel, cnt << w), (reach | rv if reach & u else reach,
-                              tuple(r | rv if r & u else r for r in rel), cnt)):
+            for at, to, c in ((reach, rel, cnt << w if n == 1 else cnt * cut),
+                              (reach | rv if reach & u else reach,
+                               tuple(r | rv if r & u else r for r in rel), cnt)):
                 if at & t:
                     done += c
                 elif at & ~gone:
@@ -242,7 +267,7 @@ def fpoly_pm_dc(g: Digraph) -> IntPolynomial:
                     states[key] = states.get(key, 0) + c
         if len(states) > FRONTIER_STATE_LIMIT:
             raise ResourceLimitError(f"frontier states exceed the limit of {FRONTIER_STATE_LIMIT}")
-    raw = (done * (1 + (1 << w)) ** (m - len(edges))).to_bytes((m + 1) * w // 8, "little")
+    raw = (done * (1 + (1 << w)) ** free).to_bytes((m + 1) * w // 8, "little")
     return IntPolynomial(int.from_bytes(raw[k * w // 8:(k + 1) * w // 8], "little")
                          for k in range(m + 1))
 

@@ -6,7 +6,6 @@ here, together with exact division by powers of (1+x).
 
 from __future__ import annotations
 
-from math import comb
 from typing import Iterable
 
 
@@ -84,7 +83,7 @@ class IntPolynomial:
     @classmethod
     def one_plus_x_power(cls, n: int) -> "IntPolynomial":
         """(1+x)^n from its binomial coefficients."""
-        return cls(comb(n, k) for k in range(n + 1))
+        return cls(binomials(n))
 
     def divmod_monic(self, divisor: "IntPolynomial") -> tuple["IntPolynomial", "IntPolynomial"]:
         """Long division by a monic divisor; exact over the integers."""
@@ -121,6 +120,16 @@ class IntPolynomial:
             else:
                 terms.append(f"{c}*x^{k}")
         return " + ".join(terms)
+
+
+def binomials(n: int) -> list[int]:
+    """The row C(n, 0), ..., C(n, n), empty for negative n: its first half
+    by C(n, k+1) = C(n, k) (n-k) / (k+1), the rest by C(n, n-k) = C(n, k)."""
+    row, c = [1] * (n + 1), 1
+    for k in range(n // 2):
+        c = c * (n - k) // (k + 1)
+        row[k + 1] = row[n - k - 1] = c
+    return row
 
 
 def poly_divisibility(p: IntPolynomial, k: int) -> tuple[bool, IntPolynomial]:

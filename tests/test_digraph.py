@@ -9,14 +9,14 @@ import pytest
 from pathcomplexes.digraph import (QUASI_CYCLE_PACKING_LIMIT, Digraph, Walk,
                                    _mask_flags)
 from pathcomplexes.errors import ResourceLimitError
-from pathcomplexes.pathcomplex import (build_pf_r, build_pm_r, pf_member,
-                                       pm_member)
+from pathcomplexes.pathcomplex import build_pf_r, build_pm_r
 from pathcomplexes.verify import (CorpusSpec, double_cycle_graph,
                                   edgeless_graph, example_graph,
                                   generate_corpus, loop_graph, parallel_graph,
                                   path_graph)
 
 from families import bidirected_grid, grid_graph
+from members import pf_member, pm_member
 
 
 def edge_names(g, ids):

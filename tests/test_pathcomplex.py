@@ -14,8 +14,7 @@ from pathcomplexes.pathcomplex import (CASE_EMPTY_EDGE, CASE_GENERIC_ACYCLIC,
                                        build_pf_r, build_pm, build_pm_r,
                                        check_divisibility, chi_pf_closed,
                                        chi_pm_closed, fpoly_pf_dc, fpoly_pm_dc,
-                                       homotopy_pf, homotopy_pm, pf_member,
-                                       pm_member, sphere)
+                                       homotopy_pf, homotopy_pm, sphere)
 from pathcomplexes.polynomial import IntPolynomial
 from pathcomplexes.simplicial import SimplicialComplex
 from pathcomplexes.verify import (CorpusSpec, double_cycle_graph, edgeless_graph,
@@ -25,6 +24,7 @@ from pathcomplexes.verify import (CorpusSpec, double_cycle_graph, edgeless_graph
 from complexes import (empty_complex, full_simplex, irrelevant_complex,
                        proper_subsets_complex)
 from families import bidirected_grid
+from members import pf_member, pm_member
 
 EXAMPLE_PF_FACETS = ["abdfg", "abef", "acdfg", "acefg", "bcdg", "bcefg"]
 EXAMPLE_PM_FACETS = ["abcfg", "aeg", "cdf", "defg"]
@@ -209,6 +209,64 @@ def rail_ladder_text(rungs: int, rng=None) -> str:
 def test_fpoly_matches_enumeration_on_random_multigraphs():
     for g in random_multigraphs(11):
         assert fpoly_pm_dc(g) == build_pm(g).f_polynomial(), g
+
+
+def subdivided_multigraphs(seed: int, count: int) -> list[Digraph]:
+    """Random multigraphs on at most 6 vertices, every edge subdivided 1 to 4
+    times (a run of 2 to 5 edges), at most 20 edges in all."""
+    rng = random.Random(seed)
+    graphs = []
+    for _ in range(count):
+        n = rng.randint(1, 6)
+        vertices, edges = list(range(n)), []
+        while True:
+            u, v, cuts = rng.randrange(n), rng.randrange(n), rng.randint(1, 4)
+            if len(edges) + cuts + 1 > 20 or rng.random() < 0.1:
+                break
+            run = [u, *range(len(vertices), len(vertices) + cuts), v]
+            vertices += run[1:-1]
+            edges += zip(run, run[1:])
+        graphs.append(Digraph.build(vertices, edges, rng.randrange(n), rng.randrange(n)))
+    return graphs
+
+
+def test_fpoly_matches_enumeration_on_subdivided_multigraphs():
+    # Series reduction merges every run through vertices of one edge in and
+    # one out into one edge; the build enumerates the original edge sets.
+    graphs = subdivided_multigraphs(3, 300)
+    assert sum(len(g.edges) > 12 for g in graphs) >= 50
+    for g in graphs:
+        assert fpoly_pm_dc(g) == build_pm(g).f_polynomial(), g
+        assert fpoly_pf_dc(g) == build_pf(g).f_polynomial(), g
+
+
+def test_fpoly_runs_on_no_simple_path():
+    # x has one edge in and one out, so u -> x -> u is one run from u back to
+    # u.  In the second graph only t enters the 2-cycle c <-> d, and the edges
+    # into s and out of t are useless, so c and d are inner and no run
+    # starts at either.  Neither cycle lies on a simple s-t-path.
+    for g, want in ((Digraph.build("suxt", ["su", "ux", "xu", "ut"], "s", "t"), [1, 2, 1]),
+                    (Digraph.build("stcd", ["st", "tc", "cd", "dc", "cs"], "s", "t"),
+                     [1, 4, 6, 4, 1])):
+        assert fpoly_pm_dc(g) == build_pm(g).f_polynomial() == IntPolynomial(want)
+
+
+def test_parallel_runs_take_one_state(monkeypatch):
+    # Twelve 3-edge runs from s to t: a removed set leaves a path unless it
+    # cuts every run.  Without series reduction the inner vertices widen the
+    # frontier to 2^12 - 1 states.
+    runs, n = 12, 3
+    vertices = ["s", "t", *(f"v{i}_{j}" for i in range(runs) for j in range(n - 1))]
+    edges = [e for i in range(runs) for e in
+             zip(["s", *(f"v{i}_{j}" for j in range(n - 1))],
+                 [*(f"v{i}_{j}" for j in range(n - 1)), "t"])]
+    g = Digraph.build(vertices, edges, "s", "t")
+    monkeypatch.setattr(pathcomplex, "FRONTIER_STATE_LIMIT", 16)
+    one = IntPolynomial([1])
+    cut_all = one
+    for _ in range(runs):
+        cut_all *= IntPolynomial.one_plus_x_power(n) - one
+    assert fpoly_pm_dc(g) == IntPolynomial.one_plus_x_power(runs * n) - cut_all
 
 
 def test_fpoly_ignores_edge_and_vertex_order():

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from pathcomplexes.polynomial import IntPolynomial, poly_divisibility
+from pathcomplexes.polynomial import IntPolynomial, binomials, poly_divisibility
 
 
 def test_trailing_zeros_are_normalized():
@@ -34,6 +34,12 @@ def test_one_plus_x_power_is_binomial():
     assert IntPolynomial.one_plus_x_power(4).coeffs == (1, 4, 6, 4, 1)
     assert IntPolynomial.one_plus_x_power(200).coeffs == tuple(
         math.comb(200, k) for k in range(201))
+
+
+def test_binomials_match_comb():
+    for n in range(65):
+        assert binomials(n) == [math.comb(n, k) for k in range(n + 1)], n
+    assert binomials(-1) == []
 
 
 def test_evaluate():
