@@ -13,7 +13,8 @@ and a face table in the top complex's 2^n layout.  At position i, of
 pattern P[i], the link is ``(table & P[i]) >> 2^i`` and the deletion
 ``table & ~P[i]``; positions are tried in ground order.  On a digraph's
 complexes the walk peels the edges out of s and tracks the set S of
-vertices contracted into s instead of building graph minors.
+vertices contracted into s instead of building graph minors, and tells a
+useless edge out of S by the cone test on the node's table.
 """
 
 from __future__ import annotations
@@ -191,24 +192,6 @@ def replay_certificate(cert: GrapeNode, c: SimplicialComplex) -> bool:
 # -- graph-guided certificates ------------------------------------------------------
 
 
-def _useful_out(g: Digraph, free: int, merged: frozenset) -> list[int]:
-    """Positions of the edges in ``free`` out of ``merged`` on a simple
-    s-t-path of the minor with edges ``free`` and ``merged`` contracted
-    into s: those whose head is t or reaches t by one backward search
-    from t over ``free`` that never enters ``merged``; none if t is in it."""
-    if g.t in merged:
-        return []
-    inc, reach = g._adj[1], {g.t}
-    todo = [g.t]
-    for v in todo:
-        for i, u in inc[v]:
-            if free >> i & 1 and u not in reach and u not in merged:
-                reach.add(u)
-                todo.append(u)
-    return [i for i, (_, u, v) in enumerate(g.edges)
-            if free >> i & 1 and u in merged and v in reach]
-
-
 def source_apex_strong_certificate(g: Digraph, c: SimplicialComplex,
                                    which: str) -> Optional[GrapeNode]:
     """Strong-grape certificate of c, the ``which`` ("pm" or "pf") complex
@@ -218,9 +201,12 @@ def source_apex_strong_certificate(g: Digraph, c: SimplicialComplex,
 
     The link and the deletion at an edge e out of s are the complexes of
     the edge-deleted and edge-contracted graphs, so the walk's node is
-    (free, table, S): deleting e keeps S, contracting e adds e's head.
-    Nodes with no such edge (s = t, or no s-t-path at all) fall back to
-    the unrestricted search.
+    (free, table, S): deleting e keeps S, contracting e adds e's head.  An
+    edge on no simple s-t-path is a cone apex of both complexes; an edge on
+    one, P, is not, as adding it leaves the faces P - e (path-free) and
+    E - P (path-missing).  So the pivot is the first edge in ``free`` out
+    of S whose cone test fails; nodes with none (s = t, or no s-t-path at
+    all) fall back to the unrestricted search.
     """
     _check_ground(len(c.ground))
     if c.ground != g.edge_ids:
@@ -232,12 +218,12 @@ def source_apex_strong_certificate(g: Digraph, c: SimplicialComplex,
         key = (free, table, merged)
         if key in memo:
             return memo[key]
-        useful = _useful_out(g, free, merged) if free & free - 1 else ()
+        i = next((i for i, (_, u, _) in enumerate(g.edges) if free >> i & 1 and u in merged
+                  and not _is_cone(table, i, pats[i])), None) if free & free - 1 else None
         node = None
-        if not useful:
+        if i is None:
             node = search(free, table)
         else:
-            i = useful[0]
             rest, (link, deletion) = free ^ 1 << i, _split(table, i, pats[i])
             side = _cone(ground, pats, rest, link, deletion)
             joined = merged | {g.edges[i][2]}

@@ -235,19 +235,14 @@ def fpoly_pm_dc(g: Digraph) -> IntPolynomial:
     states = {} if done else {(1, ()): 1}  # (mask s reaches, masks rows reach) -> counts
     free = m  # less each run's length: the useless edges and those of closed runs
     for i, (a, b, n) in enumerate(edges):
-        u, v, free = 1 << a, 1 << b, free - n
+        u, free = 1 << a, free - n
         gone = u if last_out[a] == i else 0
-        fresh = first[b] == i  # b is asked what it reaches from this edge on
-        if first[a] == i and a in last_in or fresh != (last_in[b] == i):  # the rows change
-            grow = tuple(x for x in (a, b) if first[x] == i and x in last_in)
-            rows += grow
-            vrow = rows.index(b)
-            keep = [k for k, x in enumerate(rows) if last_in[x] > i]
-            rows = [rows[k] for k in keep]
-            grow = tuple(1 << x for x in grow)
-        else:  # a fresh b is asked on this edge alone, past the kept rows
-            grow, keep = (v,) * fresh, range(len(rows))
-            vrow = len(rows) if fresh else rows.index(b)
+        grow = tuple(x for x in (a, b) if first[x] == i and x in last_in)
+        rows += grow
+        vrow = rows.index(b)
+        keep = [k for k, x in enumerate(rows) if last_in[x] > i]
+        rows = [rows[k] for k in keep]
+        grow = tuple(1 << x for x in grow)
         old, states = states, {}
         if n == 1:
             done += done << w

@@ -37,10 +37,6 @@ class BettiVector:
     def from_dict(cls, values: dict[int, int]) -> "BettiVector":
         return cls(tuple(sorted((d, b) for d, b in values.items() if b)))
 
-    def alternating_sum(self) -> int:
-        """Sum of (-1)^d * betti(d); equals the reduced Euler characteristic."""
-        return sum(b if d % 2 == 0 else -b for d, b in self.entries)
-
 
 def _check_enumeration(n_ground: int):
     if 2 ** n_ground > FACE_ENUMERATION_LIMIT:

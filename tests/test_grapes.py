@@ -284,25 +284,23 @@ def test_source_apex_walk_hands_down_the_minor_complexes():
     assert nodes > 2 * len(corpus)  # the walk went below its roots
 
 
-def test_useful_source_edges_match_useless_edges():
-    # On every minor the walk reaches, in either order of deleting and
-    # contracting, the edges out of the contracted set S that the backward
-    # search from t keeps are the edges out of s that ``useless_edges``
-    # leaves.  The walk tracks (free, S) next to the minor it builds.
+def test_source_cone_apexes_are_the_useless_edges():
+    # The lemma behind the walk's pivot rule: on every minor the walk
+    # reaches, in either order of deleting and contracting, the edges out of
+    # s that are cone apexes of the path-missing complex, and those of the
+    # path-free complex, are exactly the useless edges out of s.
     minors = 0
     corpus = generate_corpus(CorpusSpec(graph_count=500, seed=1))
     for g in corpus:
-        todo = [(g, (1 << len(g.edges)) - 1, frozenset((g.s,)))]
+        todo = [g]
         while todo:
-            h, free, merged = todo.pop()
+            h = todo.pop()
             minors += 1
             useless = h.useless_edges()
-            want = [g._position[eid] for eid, u, _ in h.edges
-                    if u == h.s and eid not in useless]
-            assert grapes._useful_out(g, free, merged) == want, (g, h)
-            if want:
-                i = want[0]
-                e = g.edges[i][0]
-                todo += [(h.delete_edge(e), free ^ 1 << i, merged),
-                         (h.contract_edge(e), free ^ 1 << i, merged | {g.edges[i][2]})]
+            out = [eid for eid, u, _ in h.edges if u == h.s]
+            for c in (build_pm(h), build_pf(h)):
+                assert {e for e in out if c.is_cone_with_apex(e)} == useless & set(out), h
+            useful = [e for e in out if e not in useless]
+            if useful:
+                todo += [h.delete_edge(useful[0]), h.contract_edge(useful[0])]
     assert minors > 2 * len(corpus)

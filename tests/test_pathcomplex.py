@@ -502,6 +502,20 @@ def test_rgen_complexes_are_downward_closed():
         build_pf_r(g, r).validate()
 
 
+def test_rgen_leaves_the_trichotomy_at_r_two():
+    # Graph 754 of CorpusSpec(2000, 7, 12, 9): acyclic, no useless edge.
+    # At r = 2 neither complex is empty, contractible or a sphere: each has
+    # homology in two degrees, and Alexander duality relates the two.
+    g = Digraph.build(
+        [f"v{k}" for k in range(6)],
+        [("v0", "v2"), ("v1", "v2"), ("v0", "v3"), ("v0", "v2"), ("v5", "v0"),
+         ("v2", "v3"), ("v0", "v3"), ("v1", "v0"), ("v1", "v3"), ("v1", "v5"),
+         ("v5", "v0")], "v1", "v3")
+    assert g.find_cycle() is None and not g.useless_edges()
+    assert build_pm_r(g, 2).gf2_reduced_betti().entries == ((4, 2), (5, 1))
+    assert build_pf_r(g, 2).gf2_reduced_betti().entries == ((3, 1), (4, 2))
+
+
 def test_rgen_builds_match_networkx_flow():
     nx = pytest.importorskip("networkx")
 

@@ -351,10 +351,15 @@ def test_undecided_complex_falls_back_to_elimination(monkeypatch):
     assert fallbacks == [c]
 
 
+def _alternating_sum(betti) -> int:
+    """Sum of (-1)^d * betti(d), which is the reduced Euler characteristic."""
+    return sum(b if d % 2 == 0 else -b for d, b in betti.entries)
+
+
 def test_betti_vector_alternating_sum():
     for c in (proper_subsets_complex(range(4)), irrelevant_complex((1,)),
               build_pm(example_graph())):
-        assert (c.gf2_reduced_betti().alternating_sum()
+        assert (_alternating_sum(c.gf2_reduced_betti())
                 == c.reduced_euler_characteristic())
 
 
@@ -477,7 +482,7 @@ def test_corpus_chi_cone_vanishes(corpus_complexes):
 def test_corpus_chi_equals_betti_alternating_sum(corpus_complexes):
     for name, c in corpus_complexes:
         assert (c.reduced_euler_characteristic()
-                == c.gf2_reduced_betti().alternating_sum()), name
+                == _alternating_sum(c.gf2_reduced_betti())), name
 
 
 def test_corpus_suspension_negates_chi(corpus_complexes):
