@@ -23,10 +23,9 @@ each line as it reads it, and the minors of an already valid graph.
 Every query walks one cached adjacency of (position, neighbour) pairs, in
 the order of ``edges``, where position i is ``edges[i]``; ``_position``
 is the one map from edge ids to positions.  An edge mask is an int
-whose bit i stands for that edge; -1 holds every edge.  The one search
-under a mask is the flow, which indexes edges by position, with a flow
-state of one byte per edge, so no per-edge int is as wide as the edge
-count; reachability under a mask is a flow with limit 1.
+whose bit i stands for that edge; the packing works on masks.  The flow
+indexes edges by position, with a state of one byte per edge, so no
+per-edge int is as wide as the edge count.
 """
 
 from __future__ import annotations
@@ -208,14 +207,10 @@ class Digraph:
         return int.from_bytes(bits, "little")
 
     def has_st_path_within(self, edge_ids) -> bool:
-        """Reachability of t from s using only the given edges.
-
-        Same answer as ``subgraph(edge_ids).has_st_path()`` without
-        building the restricted graph: one augmenting step of the flow
-        under the edge mask.  Ids the graph lacks raise ``ValueError``,
-        as they do there.
-        """
-        return self._max_flow(self.edge_mask(edge_ids), 1)[0] > 0
+        """Reachability of t from s using only the given edges: the
+        restricted graph's ``has_st_path``.  Ids the graph lacks raise
+        ``ValueError``."""
+        return self.subgraph(edge_ids).has_st_path()
 
     def enumerate_st_paths(self) -> list[Walk]:
         """All simple s-t-paths, lexicographic by edge positions in ``edges``.
@@ -485,26 +480,22 @@ class Digraph:
 
     # -- flows ------------------------------------------------------------------
 
-    def _max_flow(self, mask: int = -1,
-                  limit: Optional[int] = None) -> tuple[int, set]:
+    def _max_flow(self) -> tuple[int, set]:
         """Unit-capacity max flow from s to t by augmenting-path search.
 
-        Only the edges in the edge ``mask`` (all edges by default) carry
-        flow, and the search stops once the value reaches ``limit``.
-        Returns the value and the vertices the last search reached: unless
-        ``limit`` stopped it, the source side of a minimum cut.  When s = t the
-        trivial path replicates without using any edge: the value is
-        ``limit``, or ``math.inf`` without one.
+        Returns the value and the vertices the last, failing search
+        reached: the source side of a minimum cut.  When s = t the trivial
+        path replicates without using any edge: the value is ``math.inf``.
         """
         s, t = self.s, self.t
         if s == t:
-            return (math.inf if limit is None else limit), {s}
+            return math.inf, {s}
         out, inc = self._adj
-        # state[i]: 1 while edge i may take a unit, 2 while it carries one,
-        # 0 when the mask leaves it out; an augmenting step flips 1 and 2.
-        state = _mask_flags(mask, len(self.edges))
+        # state[i]: 1 while edge i may take a unit, 2 while it carries one;
+        # an augmenting step flips the two.
+        state = bytearray(b"\1") * len(self.edges)
         value = 0
-        while limit is None or value < limit:
+        while True:
             how: dict = {s: None}
             frontier = [s]
             while frontier and t not in how:
@@ -546,16 +537,6 @@ class Digraph:
             raise ValueError("no cut-set exists when s = t")
         _, side = self._max_flow()
         return sum(1 for _, u, v in self.edges if u in side and v not in side)
-
-
-_FLAG = bytes.maketrans(b"01", b"\0\1")
-
-
-def _mask_flags(mask: int, m: int) -> bytearray:
-    """Byte i is bit i of the edge mask, for the m edges; a negative mask
-    holds the edges its low m bits hold.  One ``format`` of the m low bits
-    under a leading 1, which fixes the width, read backwards."""
-    return bytearray(format(mask & (1 << m) - 1 | 1 << m, "b")[:0:-1], "ascii").translate(_FLAG)
 
 
 def _max_disjoint(masks: list[int]) -> tuple[int, ...]:

@@ -7,7 +7,9 @@ For a graph with distinguished vertices s and t:
   an s-t-path.
 
 Both are built here explicitly, as truth tables of reachability over the
-edge subsets, the path-free one from s and the path-missing one from t.
+edge subsets, the path-free one from s and the path-missing one from t;
+``_patterns`` refuses more than ``FACE_ENUMERATION_LIMIT`` subsets (20
+edges) before any table is allocated.
 One frontier pass counts the path-missing f-polynomial, on the useful
 edges with every run through vertices of one edge in and one out merged
 into one edge, and Alexander duality gives the path-free one.  A closed
@@ -27,7 +29,6 @@ from .errors import ResourceLimitError
 from .polynomial import IntPolynomial, binomials, poly_divisibility
 from .simplicial import SimplicialComplex, _above, _dual, _patterns, _reverse
 
-BUILD_EDGE_LIMIT = 20
 FRONTIER_STATE_LIMIT = 1 << 15
 
 CASE_USELESS_OR_CYCLE = "useless-or-cycle"
@@ -89,15 +90,6 @@ def _check_r(r: int):
         raise ValueError("r must be positive")
 
 
-def _edge_count(g: Digraph, limit: int) -> int:
-    """|E|, for a build that decides all 2^|E| edge masks; over ``limit``
-    edges raise ``ResourceLimitError``."""
-    m = len(g.edges)
-    if m > limit:
-        raise ResourceLimitError(f"{m} edges exceed the enumeration limit of {limit}")
-    return m
-
-
 def _complex(g: Digraph, table: int) -> SimplicialComplex:
     """The complex on ``g.edge_ids`` with the given face table (bit i of a
     mask for ``g.edges[i]``); downward closure is validated on every build."""
@@ -121,7 +113,7 @@ def _fixpoint(g: Digraph, root, arcs: list) -> dict:
     return reach
 
 
-def _free_table(g: Digraph, r: int, limit: int) -> int:
+def _free_table(g: Digraph, r: int) -> int:
     """The truth table of the edge masks holding fewer than r edge-disjoint
     s-t-paths: bit x is set iff mask x does.
 
@@ -131,7 +123,7 @@ def _free_table(g: Digraph, r: int, limit: int) -> int:
     each further r is one ``_above`` step, until the table stops growing
     (at r = |E| + 1 at the latest).  With s = t no mask is in the table.
     """
-    n = _edge_count(g, limit)
+    n = len(g.edges)
     arcs = [(u, v, p) for (_, u, v), p in zip(g.edges, _patterns(n)) if u != v]
     table = free = _fixpoint(g, g.s, arcs)[g.t] ^ ((1 << (1 << n)) - 1)
     for _ in range(1, r):
@@ -141,30 +133,30 @@ def _free_table(g: Digraph, r: int, limit: int) -> int:
     return table
 
 
-def build_pm(g: Digraph, limit: int = BUILD_EDGE_LIMIT) -> SimplicialComplex:
+def build_pm(g: Digraph) -> SimplicialComplex:
     """Enumerate the path-missing complex; downward closure is asserted.
     Its faces complement the masks over which s reaches t, found from t's end."""
-    n = _edge_count(g, limit)
+    n = len(g.edges)
     arcs = [(v, u, p) for (_, u, v), p in zip(g.edges, _patterns(n)) if u != v]
     return _complex(g, _reverse(_fixpoint(g, g.t, arcs[::-1])[g.s], n))
 
 
-def build_pf(g: Digraph, limit: int = BUILD_EDGE_LIMIT) -> SimplicialComplex:
+def build_pf(g: Digraph) -> SimplicialComplex:
     """Enumerate the path-free complex; downward closure is asserted.
     Its faces are the masks that do not reach t."""
-    return _complex(g, _free_table(g, 1, limit))
+    return _complex(g, _free_table(g, 1))
 
 
-def build_pm_r(g: Digraph, r: int, limit: int = BUILD_EDGE_LIMIT) -> SimplicialComplex:
+def build_pm_r(g: Digraph, r: int) -> SimplicialComplex:
     """Edge sets whose complement holds r edge-disjoint s-t-paths."""
     _check_r(r)
-    return _complex(g, _dual(_free_table(g, r, limit), len(g.edges)))
+    return _complex(g, _dual(_free_table(g, r), len(g.edges)))
 
 
-def build_pf_r(g: Digraph, r: int, limit: int = BUILD_EDGE_LIMIT) -> SimplicialComplex:
+def build_pf_r(g: Digraph, r: int) -> SimplicialComplex:
     """Edge sets holding no r edge-disjoint s-t-paths."""
     _check_r(r)
-    return _complex(g, _free_table(g, r, limit))
+    return _complex(g, _free_table(g, r))
 
 
 # -- f-polynomials by one frontier pass --------------------------------------------

@@ -27,10 +27,10 @@ from .errors import ResourceLimitError
 from .graphio import format_graph
 from .grapes import (is_combinatorial_grape, is_strong_grape, replay_certificate,
                      source_apex_strong_certificate)
-from .pathcomplex import (BUILD_EDGE_LIMIT, build_pf, build_pf_r, build_pm, build_pm_r,
+from .pathcomplex import (build_pf, build_pf_r, build_pm, build_pm_r,
                           check_divisibility, chi_pf_closed, chi_pm_closed,
                           fpoly_pf_dc, fpoly_pm_dc, homotopy_pf, homotopy_pm)
-from .simplicial import SimplicialComplex
+from .simplicial import FACE_ENUMERATION_LIMIT, SimplicialComplex
 
 DEFAULT_ENUM_LIMIT = 12
 
@@ -152,8 +152,9 @@ def generate_corpus(spec: CorpusSpec) -> list[Digraph]:
     """Fixture battery first, then ``graph_count`` random graphs."""
     if spec.max_edges < 0 or spec.max_vertices < 1 or spec.graph_count < 0:
         raise ValueError("corpus spec out of range")
-    if spec.max_edges > BUILD_EDGE_LIMIT:
-        raise ValueError(f"max_edges beyond the enumeration guard of {BUILD_EDGE_LIMIT}")
+    most = FACE_ENUMERATION_LIMIT.bit_length() - 1  # the edges a complex can build on
+    if spec.max_edges > most:
+        raise ValueError(f"max_edges beyond the enumeration guard of {most}")
     graphs = fixture_battery()
     rng = SplitMix64(spec.seed)
     for _ in range(spec.graph_count):
@@ -167,21 +168,29 @@ def generate_corpus(spec: CorpusSpec) -> list[Digraph]:
 class _Ctx:
     """Lazily computed artifacts shared by the checks on one graph.
 
-    The two complexes build under ``DEFAULT_ENUM_LIMIT`` edges: above it
-    reading one raises ``ResourceLimitError``, which skips the check that
-    read it.
+    The checks build complexes of at most ``DEFAULT_ENUM_LIMIT`` edges:
+    above it ``enumerable`` raises ``ResourceLimitError`` before a build,
+    which skips the check that asked.
     """
 
     def __init__(self, g: Digraph):
         self.g = g
 
+    def enumerable(self) -> Digraph:
+        """The graph, once its edges are within ``DEFAULT_ENUM_LIMIT``."""
+        m = len(self.g.edges)
+        if m > DEFAULT_ENUM_LIMIT:
+            raise ResourceLimitError(
+                f"{m} edges exceed the enumeration limit of {DEFAULT_ENUM_LIMIT}")
+        return self.g
+
     @cached_property
     def pm(self) -> SimplicialComplex:
-        return build_pm(self.g, DEFAULT_ENUM_LIMIT)
+        return build_pm(self.enumerable())
 
     @cached_property
     def pf(self) -> SimplicialComplex:
-        return build_pf(self.g, DEFAULT_ENUM_LIMIT)
+        return build_pf(self.enumerable())
 
     @cached_property
     def paths(self):
@@ -532,9 +541,10 @@ def _chk_rgen(ctx: _Ctx):
     k = len(g.edges)
     if g.s == g.t or k == 0 or any((u, v) != (g.s, g.t) for _, u, v in g.edges):
         return _SKIP
+    ctx.enumerable()
     for r in range(1, k + 1):
-        chi_pf = build_pf_r(g, r, DEFAULT_ENUM_LIMIT).reduced_euler_characteristic()
-        chi_pm = build_pm_r(g, r, DEFAULT_ENUM_LIMIT).reduced_euler_characteristic()
+        chi_pf = build_pf_r(g, r).reduced_euler_characteristic()
+        chi_pm = build_pm_r(g, r).reduced_euler_characteristic()
         if chi_pf != (-1) ** r * comb(k - 1, r - 1):
             return _fail(f"path-free r={r} Euler characteristic {chi_pf}")
         if chi_pm != (-1) ** (k + r - 1) * comb(k - 1, r - 1):

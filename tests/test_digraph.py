@@ -6,8 +6,7 @@ from typing import Iterator
 
 import pytest
 
-from pathcomplexes.digraph import (QUASI_CYCLE_PACKING_LIMIT, Digraph, Walk,
-                                   _mask_flags)
+from pathcomplexes.digraph import QUASI_CYCLE_PACKING_LIMIT, Digraph, Walk
 from pathcomplexes.errors import ResourceLimitError
 from pathcomplexes.pathcomplex import build_pf_r, build_pm_r
 from pathcomplexes.verify import (CorpusSpec, double_cycle_graph,
@@ -416,21 +415,6 @@ def test_edge_mask_is_the_sum_of_its_position_bits():
         example_graph().edge_mask([0, 99])
 
 
-def test_flow_state_decodes_every_mask_bit_by_position():
-    # The flow reads byte i of its state as bit i of the mask, the edge at
-    # position i, whatever the ids; the negative masks pm_member passes,
-    # ~edge_mask(f), hold every edge outside f, and bits past the last edge
-    # are dropped.
-    rng = random.Random(49)
-    graphs = [with_gapped_ids(random_multigraph(rng), rng) for _ in range(100)]
-    for g in graphs + [with_gapped_ids(path_graph(1500), rng)]:
-        m, ids = len(g.edges), list(g.edge_ids)
-        for f in [[], ids] + [rng.sample(ids, rng.randint(0, m)) for _ in range(3)]:
-            mask = g.edge_mask(f)
-            for x in (mask, ~mask, mask | 1 << m + 3, -1):
-                assert _mask_flags(x, m) == bytearray(x >> i & 1 for i in range(m)), (g, f, x)
-
-
 def test_packing_matches_brute_force():
     def disjoint(group):
         edges = [e for qc in group for e in qc.edges]
@@ -541,8 +525,8 @@ def test_flows_on_minors_whose_edge_positions_are_not_their_ids():
 
 
 def test_member_flows_match_the_subgraph_searches():
-    # The membership oracles run a flow under an edge mask; the subgraph
-    # answers from its cached breadth-first search, a separate search.
+    # The membership oracles run their own augmenting-path search over the
+    # kept edges; the subgraph answers from its cached breadth-first search.
     checked = 0
     for g in oracle_graphs():
         if len(g.edges) > 10:

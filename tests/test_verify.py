@@ -49,6 +49,9 @@ def test_corpus_spec_validation():
         generate_corpus(CorpusSpec(graph_count=1, max_edges=30))
     with pytest.raises(ValueError):
         generate_corpus(CorpusSpec(graph_count=-1))
+    # Outside input is compared as an edge count, never raised to a power.
+    with pytest.raises(ValueError):
+        generate_corpus(CorpusSpec(graph_count=1, max_edges=10**9))
 
 
 def test_registry_matches_manifest():
