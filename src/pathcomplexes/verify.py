@@ -6,9 +6,10 @@ registry against one graph and reports pass/fail/skip per check.
 Identities that hold for every simplicial complex are self-tests of
 ``simplicial`` and live with its tests.  Conditional checks whose
 hypotheses never fire are skipped, never silently passed, and so is
-every check that reads a complex of a graph above the enumeration
-limit.  The registry is compared against an explicit manifest so that a
-check cannot be lost without a test noticing.
+every check that reads a complex of a graph above the face table's 20
+edges, with the build's own message.  The registry is compared against
+an explicit manifest so that a check cannot be lost without a test
+noticing.
 
 The corpus generator uses splitmix64 (64-bit state, golden-gamma
 increment, xor-shift-multiply finalizer), so the same spec reproduces the
@@ -18,8 +19,9 @@ same graphs on any platform.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from math import comb
+from operator import or_
 from typing import Callable
 
 from .digraph import Digraph
@@ -30,9 +32,7 @@ from .grapes import (is_combinatorial_grape, is_strong_grape, replay_certificate
 from .pathcomplex import (build_pf, build_pf_r, build_pm, build_pm_r,
                           check_divisibility, chi_pf_closed, chi_pm_closed,
                           fpoly_pf_dc, fpoly_pm_dc, homotopy_pf, homotopy_pm)
-from .simplicial import FACE_ENUMERATION_LIMIT, SimplicialComplex
-
-DEFAULT_ENUM_LIMIT = 12
+from .simplicial import FACE_ENUMERATION_LIMIT, SimplicialComplex, _above, _patterns
 
 # -- pseudo-random generation ----------------------------------------------------
 
@@ -168,29 +168,20 @@ def generate_corpus(spec: CorpusSpec) -> list[Digraph]:
 class _Ctx:
     """Lazily computed artifacts shared by the checks on one graph.
 
-    The checks build complexes of at most ``DEFAULT_ENUM_LIMIT`` edges:
-    above it ``enumerable`` raises ``ResourceLimitError`` before a build,
+    Above the face table's 20 edges a build raises ``ResourceLimitError``,
     which skips the check that asked.
     """
 
     def __init__(self, g: Digraph):
         self.g = g
 
-    def enumerable(self) -> Digraph:
-        """The graph, once its edges are within ``DEFAULT_ENUM_LIMIT``."""
-        m = len(self.g.edges)
-        if m > DEFAULT_ENUM_LIMIT:
-            raise ResourceLimitError(
-                f"{m} edges exceed the enumeration limit of {DEFAULT_ENUM_LIMIT}")
-        return self.g
-
     @cached_property
     def pm(self) -> SimplicialComplex:
-        return build_pm(self.enumerable())
+        return build_pm(self.g)
 
     @cached_property
     def pf(self) -> SimplicialComplex:
-        return build_pf(self.enumerable())
+        return build_pf(self.g)
 
     @cached_property
     def paths(self):
@@ -222,10 +213,13 @@ def _check(check_id: str):
 
 @_check("build-oracles-downward-closed")
 def _chk_build(ctx: _Ctx):
+    n = len(ctx.g.edges)
     for name, c in ctx.both():
-        c.validate()
-        if c.ground != tuple(ctx.g.edge_ids):
+        if c.ground != tuple(ctx.g.edge_ids) or c.table >> (1 << n):
             return _fail(f"{name} ground mismatch")
+        # Downward closed: no set one element above a non-face is a face.
+        if _above(c.table ^ ((1 << (1 << n)) - 1), n) & c.table:
+            return _fail(f"{name} is not downward closed")
     return _PASS
 
 
@@ -248,18 +242,15 @@ def _chk_pf_nonfaces(ctx: _Ctx):
 
 @_check("pm-minimal-nonfaces-are-min-cuts")
 def _chk_pm_nonfaces(ctx: _Ctx):
-    g = ctx.g
-    got = {g.edge_mask(f) for f in ctx.pm.minimal_nonfaces()}
-    paths = [g.edge_mask(p.edges) for p in ctx.paths]
-    # Every edge mask, ascending by size, so any hitting set found with a
-    # strictly smaller hitting subset is caught by the subset test; what
-    # remains is minimal.
-    minimal: list[int] = []
-    for f in sorted(range(1 << len(g.edges)), key=int.bit_count):
-        if all(f & p for p in paths) and not any(h & f == h for h in minimal):
-            minimal.append(f)
-    if got != set(minimal):
-        return _fail("minimal non-faces differ from minimal cut-sets")
+    # The table of the edge sets meeting every s-t-path, the cut sets, must
+    # be the non-face table; equal tables have equal minimal elements.
+    n = len(ctx.g.edges)
+    pattern = dict(zip(ctx.g.edge_ids, _patterns(n)))
+    cuts = full = (1 << (1 << n)) - 1
+    for p in ctx.paths:
+        cuts &= reduce(or_, map(pattern.__getitem__, p.edges), 0)
+    if cuts != ctx.pm.table ^ full:
+        return _fail("non-faces differ from the cut sets")
     return _PASS
 
 
@@ -541,7 +532,6 @@ def _chk_rgen(ctx: _Ctx):
     k = len(g.edges)
     if g.s == g.t or k == 0 or any((u, v) != (g.s, g.t) for _, u, v in g.edges):
         return _SKIP
-    ctx.enumerable()
     for r in range(1, k + 1):
         chi_pf = build_pf_r(g, r).reduced_euler_characteristic()
         chi_pm = build_pm_r(g, r).reduced_euler_characteristic()

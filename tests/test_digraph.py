@@ -149,12 +149,14 @@ def test_has_st_path():
 
 
 def test_has_st_path_within_matches_subgraph():
-    g = example_graph()
-    from itertools import combinations
-    for k in range(len(g.edges) + 1):
-        for combo in combinations(g.edge_ids, k):
-            ids = frozenset(combo)
-            assert g.has_st_path_within(ids) == g.subgraph(ids).has_st_path()
+    # ``pf_member`` runs its own augmenting-path search: the ids hold an
+    # s-t-path iff they are not path-free.  Every edge subset of the example
+    # and of a corpus.
+    graphs = [example_graph()] + generate_corpus(CorpusSpec(graph_count=200, seed=4))
+    for g in graphs:
+        for k in range(len(g.edges) + 1):
+            for ids in combinations(g.edge_ids, k):
+                assert g.has_st_path_within(ids) == (not pf_member(g, ids)), (g, ids)
 
 
 # -- useless edges, cycles, nonsinks ----------------------------------------------

@@ -1,9 +1,10 @@
 import re
 
-from pathcomplexes import cli, grapes, pathcomplex, simplicial
+from pathcomplexes import cli, grapes, pathcomplex, simplicial, verify
 from pathcomplexes.digraph import Digraph
 from pathcomplexes.graphio import format_graph, parse_graph
-from pathcomplexes.verify import (CHECK_MANIFEST, CorpusSpec, SplitMix64,
+from pathcomplexes.simplicial import SimplicialComplex
+from pathcomplexes.verify import (CHECK_MANIFEST, CorpusSpec, SplitMix64, _Ctx,
                                   double_cycle_graph, edgeless_graph,
                                   example_graph, fixture_battery,
                                   generate_corpus, loop_graph, parallel_graph,
@@ -93,25 +94,97 @@ def test_rare_conditional_check_fires_on_doubled_path():
 
 
 def test_oversized_graph_skips_enumeration_checks():
-    big = parallel_graph(13)
+    big = parallel_graph(21)
     outcomes = {o.check_id: o for o in run_all_checks(big)}
     # Every check that reads a complex skips: the one enumeration guard
-    # is the complex build, which refuses 13 edges.
+    # is the face table of the build, which refuses 21 edges.
     for check_id in (
             "build-oracles-downward-closed", "pf-pm-alexander-dual",
             "pf-minimal-nonfaces-are-paths", "pm-minimal-nonfaces-are-min-cuts",
             "pf-codimension-is-min-cut", "pm-codimension-is-shortest-path",
             "pm-link-deletion-match-graph-ops", "pf-link-deletion-match-graph-ops",
-            "useless-edge-cone", "chi-pm-closed-form", "chi-pf-closed-form",
+            "chi-pm-closed-form", "chi-pf-closed-form",
             "face-count-parity", "dc-equals-enumeration",
             "homology-matches-classification", "strong-grape-certificates",
             "strong-implies-combinatorial", "grape-apex-source-restriction",
             "parallel-rgen-chi"):
         assert outcomes[check_id].status == "skip", check_id
-    assert outcomes["parallel-rgen-chi"].detail == \
-        "13 edges exceed the enumeration limit of 12"
+        assert outcomes[check_id].detail == \
+            "2^21 subsets exceed the enumeration limit of 1048576", check_id
+    # No edge is useless, so the cone check skips before any build.
+    assert outcomes["useless-edge-cone"].status == "skip"
     # Recursion-based checks still run.
     assert outcomes["fpoly-quasicycle-divisibility"].status == "pass"
+
+
+def test_thirteen_edges_build_but_skip_the_grape_search():
+    outcomes = {o.check_id: o for o in run_all_checks(parallel_graph(13))}
+    for check_id in ("strong-grape-certificates", "strong-implies-combinatorial",
+                     "grape-apex-source-restriction"):
+        assert outcomes[check_id].status == "skip", check_id
+        assert outcomes[check_id].detail == \
+            "ground size 13 exceeds the grape search limit of 12", check_id
+    for check_id in ("build-oracles-downward-closed", "pf-pm-alexander-dual",
+                     "pm-minimal-nonfaces-are-min-cuts", "dc-equals-enumeration",
+                     "homology-matches-classification", "parallel-rgen-chi"):
+        assert outcomes[check_id].status == "pass", check_id
+    assert [o.check_id for o in outcomes.values() if o.status == "fail"] == []
+
+
+def _run_check(check_id, ctx):
+    return dict(verify._REGISTRY)[check_id](ctx)
+
+
+def _with_pm(g, table):
+    """A context on g whose path-missing complex is the given table."""
+    ctx = _Ctx(g)
+    ctx.pm = SimplicialComplex(g.edge_ids, table)
+    return ctx
+
+
+def _brute_min_cuts(g, paths) -> set:
+    """The inclusion-minimal edge masks meeting every path, one mask at a time."""
+    masks = [g.edge_mask(p.edges) for p in paths]
+    # Every edge mask, ascending by size, so any hitting set found with a
+    # strictly smaller hitting subset is caught by the subset test; what
+    # remains is minimal.
+    minimal: list[int] = []
+    for f in sorted(range(1 << len(g.edges)), key=int.bit_count):
+        if all(f & p for p in masks) and not any(h & f == h for h in minimal):
+            minimal.append(f)
+    return set(minimal)
+
+
+def test_min_cut_check_agrees_with_brute_force():
+    # On the default and seed-9 corpora the minimal non-faces are the
+    # brute-force minimal cuts and the table check passes.  With the first
+    # minimal cut turned into a face the table stays downward closed, as
+    # its subsets are faces, and the check fails.
+    for spec in (CorpusSpec(200), CorpusSpec(2000, 7, 12, 9)):
+        for g in generate_corpus(spec):
+            ctx = _Ctx(g)
+            cuts = _brute_min_cuts(g, ctx.paths)
+            assert {g.edge_mask(f) for f in ctx.pm.minimal_nonfaces()} == cuts
+            assert _run_check("pm-minimal-nonfaces-are-min-cuts", ctx) == ("pass", "")
+            if cuts:
+                forged = _with_pm(g, ctx.pm.table | 1 << min(cuts))
+                assert forged.pm.is_downward_closed()
+                assert _run_check("pm-minimal-nonfaces-are-min-cuts", forged)[0] == "fail"
+
+
+def test_build_check_needs_no_validate(monkeypatch):
+    # The check reads downward closure off the table itself, so a table
+    # that is not downward closed fails even when ``validate`` accepts it.
+    monkeypatch.setattr(SimplicialComplex, "validate", lambda self: None)
+    g = example_graph()
+    ctx = _Ctx(g)
+    assert _run_check("build-oracles-downward-closed", ctx)[0] == "pass"
+    not_closed = ctx.pm.table & ~1  # every face but the empty one
+    assert _run_check("build-oracles-downward-closed", _with_pm(g, not_closed)) == \
+        ("fail", "pm is not downward closed")
+    outside = ctx.pm.table | 1 << (1 << len(g.edges))
+    assert _run_check("build-oracles-downward-closed", _with_pm(g, outside)) == \
+        ("fail", "pm ground mismatch")
 
 
 def test_grape_checks_skip_above_the_grape_limit(monkeypatch):
