@@ -6,10 +6,10 @@ For a graph with distinguished vertices s and t:
 * the path-missing complex holds the subsets whose removal still leaves
   an s-t-path.
 
-Both are built here explicitly, as truth tables of reachability over the
-edge subsets, the path-free one from s and the path-missing one from t;
-``_patterns`` refuses more than ``FACE_ENUMERATION_LIMIT`` subsets (20
-edges) before any table is allocated.
+Both are built here explicitly, as truth tables of reachability from s
+over the edge subsets, an edge crossed where kept (path-free) or removed
+(path-missing); ``_patterns`` refuses more than ``FACE_ENUMERATION_LIMIT``
+subsets (20 edges) before any table is allocated.
 One frontier pass counts the path-missing f-polynomial, on the useful
 edges with every run through vertices of one edge in and one out merged
 into one edge, and Alexander duality gives the path-free one.  A closed
@@ -27,7 +27,7 @@ from typing import Optional
 from .digraph import Digraph
 from .errors import ResourceLimitError
 from .polynomial import IntPolynomial, binomials, poly_divisibility
-from .simplicial import SimplicialComplex, _above, _dual, _patterns, _reverse
+from .simplicial import SimplicialComplex, _above, _dual, _patterns
 
 FRONTIER_STATE_LIMIT = 1 << 15
 
@@ -98,11 +98,12 @@ def _complex(g: Digraph, table: int) -> SimplicialComplex:
     return c
 
 
-def _fixpoint(g: Digraph, root, arcs: list) -> dict:
-    """Vertex -> the table of the edge masks over which ``root`` reaches it along
-    ``arcs``, (u, v, edge pattern) triples: at most |V| rounds of arc steps."""
+def _reach(g: Digraph, patterns) -> int:
+    """The table of the edge masks over which s reaches t, edge i crossable in
+    the masks of ``patterns[i]``: at most |V| rounds of steps along the edges."""
+    arcs = [(u, v, p) for (_, u, v), p in zip(g.edges, patterns) if u != v]
     reach = dict.fromkeys(g.vertices, 0)
-    reach[root] = (1 << (1 << len(g.edges))) - 1
+    reach[g.s] = (1 << (1 << len(g.edges))) - 1
     grew = True
     while grew:
         grew = False
@@ -110,22 +111,21 @@ def _fixpoint(g: Digraph, root, arcs: list) -> dict:
             x = reach[v] | reach[u] & p
             if x != reach[v]:
                 reach[v], grew = x, True
-    return reach
+    return reach[g.t]
 
 
 def _free_table(g: Digraph, r: int) -> int:
     """The truth table of the edge masks holding fewer than r edge-disjoint
     s-t-paths: bit x is set iff mask x does.
 
-    For r = 1 it is the complement of t's table in the fixpoint from s
-    along the edges.  By Menger's theorem a mask holds fewer than r paths iff
+    For r = 1 it is the complement of ``_reach`` with each edge crossable
+    where it is kept.  By Menger's theorem a mask holds fewer than r paths iff
     it holds none, or dropping one of its edges leaves fewer than r - 1:
     each further r is one ``_above`` step, until the table stops growing
     (at r = |E| + 1 at the latest).  With s = t no mask is in the table.
     """
     n = len(g.edges)
-    arcs = [(u, v, p) for (_, u, v), p in zip(g.edges, _patterns(n)) if u != v]
-    table = free = _fixpoint(g, g.s, arcs)[g.t] ^ ((1 << (1 << n)) - 1)
+    table = free = _reach(g, _patterns(n)) ^ ((1 << (1 << n)) - 1)
     for _ in range(1, r):
         table, last = free | _above(table, n), table
         if table == last:
@@ -135,10 +135,10 @@ def _free_table(g: Digraph, r: int) -> int:
 
 def build_pm(g: Digraph) -> SimplicialComplex:
     """Enumerate the path-missing complex; downward closure is asserted.
-    Its faces complement the masks over which s reaches t, found from t's end."""
+    Its faces are the masks whose removal leaves s reaching t."""
     n = len(g.edges)
-    arcs = [(v, u, p) for (_, u, v), p in zip(g.edges, _patterns(n)) if u != v]
-    return _complex(g, _reverse(_fixpoint(g, g.t, arcs[::-1])[g.s], n))
+    kept, full = _patterns(n), (1 << (1 << n)) - 1
+    return _complex(g, _reach(g, [full ^ p for p in kept]))
 
 
 def build_pf(g: Digraph) -> SimplicialComplex:

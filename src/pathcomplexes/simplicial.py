@@ -89,16 +89,11 @@ def _is_cone(x: int, i: int, p: int) -> bool:
     return not (x & ~p) << (1 << i) & ~x
 
 
-def _reverse(x: int, n: int) -> int:
-    """The 2^n-bit int x read from the top: bit f moves to bit 2^n - 1 - f."""
-    _check_enumeration(n)
-    return int(format(x, f"0{1 << n}b")[::-1], 2)
-
-
 def _dual(x: int, n: int) -> int:
     """The table of the complements of the sets missing from the table x:
-    the complement of x read from the top."""
-    return _reverse(x, n) ^ ((1 << (1 << n)) - 1)
+    the complement of x read from the top, bit f moving to bit 2^n - 1 - f."""
+    _check_enumeration(n)
+    return int(format(x, f"0{1 << n}b")[::-1], 2) ^ ((1 << (1 << n)) - 1)
 
 
 @dataclass(frozen=True)

@@ -232,11 +232,12 @@ def _chk_dual(ctx: _Ctx):
 
 @_check("pf-minimal-nonfaces-are-paths")
 def _chk_pf_nonfaces(ctx: _Ctx):
-    got = set(ctx.pf.minimal_nonfaces())
-    want = {p.edge_set() for p in ctx.paths}
-    if got != want:
-        return _fail(f"minimal non-faces {sorted(map(sorted, got))} "
-                     f"!= path edge sets {sorted(map(sorted, want))}")
+    # The path masks must be the minimal non-faces, those above no non-face.
+    n = len(ctx.g.edges)
+    nonfaces = ctx.pf.table ^ ((1 << (1 << n)) - 1)
+    paths = reduce(or_, (1 << ctx.g.edge_mask(p.edges) for p in ctx.paths), 0)
+    if paths != nonfaces & ~_above(nonfaces, n):
+        return _fail("minimal non-faces differ from the path edge sets")
     return _PASS
 
 

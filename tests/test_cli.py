@@ -221,7 +221,9 @@ def test_rgen_past_the_edge_count(capsys, example_path, which, want):
     ((), "dbde750de1c9c52ee9955f49ff71943e68ba1c689e2dd9e07ad0df7c722b75a0"),
     (("--count", "40", "--max-edges", "14", "--seed", "3"),
      "d88345f28570485a96367324e0cd7af5f7414f06ce13b91cdebc67537eaef259"),
-], ids=["default", "count-40-max-edges-14-seed-3"])
+    (("--count", "200", "--max-vertices", "10", "--max-edges", "20", "--seed", "5"),
+     "40d4336c61c37990468e7bf6d0ab643d9e4c5eba610ad927f2b8590ae9f73425"),
+], ids=["default", "count-40-max-edges-14-seed-3", "count-200-max-edges-20-seed-5"])
 def test_verify_stdout_is_pinned(capsys, argv, digest):
     # Every per-check status line is pinned, so a pass that turns into a
     # skip shows here even though the run still reports fail=0.

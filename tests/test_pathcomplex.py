@@ -130,6 +130,22 @@ def test_builds_match_member_oracles_on_random_multigraphs(multigraphs):
                 assert (mask in pf.faces) == pf_member(g, f), (g, f)
 
 
+def test_pm_build_needs_no_dual(monkeypatch):
+    # The path-missing build reads reachability with each edge crossable
+    # where it is removed, so with the Alexander dual broken it still
+    # matches the member oracle, on the worked example (the corpus's first
+    # graph) and on a seeded corpus.
+    for module in (simplicial, pathcomplex):
+        monkeypatch.setattr(module, "_dual", lambda x, n: (1 << (1 << n)) - 1)
+    corpus = generate_corpus(CorpusSpec(100, seed=4))
+    assert corpus[0] == example_graph()
+    for g in corpus:
+        pm = build_pm(g)
+        for k in range(len(g.edges) + 1):
+            for f in combinations(g.edge_ids, k):
+                assert (g.edge_mask(f) in pm.faces) == pm_member(g, f), (g, f)
+
+
 def test_r_one_reduces_to_plain_complexes(multigraphs):
     # The r-builds grow the table by Menger's step; the r-member oracles
     # run one augmenting-path flow per subset.

@@ -135,10 +135,10 @@ def _run_check(check_id, ctx):
     return dict(verify._REGISTRY)[check_id](ctx)
 
 
-def _with_pm(g, table):
-    """A context on g whose path-missing complex is the given table."""
+def _with(g, which, table):
+    """A context on g whose complex ``which``, pm or pf, is the given table."""
     ctx = _Ctx(g)
-    ctx.pm = SimplicialComplex(g.edge_ids, table)
+    setattr(ctx, which, SimplicialComplex(g.edge_ids, table))
     return ctx
 
 
@@ -167,9 +167,26 @@ def test_min_cut_check_agrees_with_brute_force():
             assert {g.edge_mask(f) for f in ctx.pm.minimal_nonfaces()} == cuts
             assert _run_check("pm-minimal-nonfaces-are-min-cuts", ctx) == ("pass", "")
             if cuts:
-                forged = _with_pm(g, ctx.pm.table | 1 << min(cuts))
+                forged = _with(g, "pm", ctx.pm.table | 1 << min(cuts))
                 assert forged.pm.is_downward_closed()
                 assert _run_check("pm-minimal-nonfaces-are-min-cuts", forged)[0] == "fail"
+
+
+def test_path_check_agrees_with_decoded_nonfaces():
+    # On the default and seed-9 corpora the decoded minimal non-faces are
+    # the path edge sets and the table check passes.  With one facet taken
+    # out the table stays downward closed, as the facet's subsets are faces,
+    # and gains the facet as a minimal non-face, so the check fails.
+    for spec in (CorpusSpec(200), CorpusSpec(2000, 7, 12, 9)):
+        for g in generate_corpus(spec):
+            ctx = _Ctx(g)
+            assert set(ctx.pf.minimal_nonfaces()) == {p.edge_set() for p in ctx.paths}
+            assert _run_check("pf-minimal-nonfaces-are-paths", ctx) == ("pass", "")
+            if ctx.pf.table:
+                facet = g.edge_mask(ctx.pf.facets()[0])
+                forged = _with(g, "pf", ctx.pf.table ^ 1 << facet)
+                assert forged.pf.is_downward_closed()
+                assert _run_check("pf-minimal-nonfaces-are-paths", forged)[0] == "fail"
 
 
 def test_build_check_needs_no_validate(monkeypatch):
@@ -180,10 +197,10 @@ def test_build_check_needs_no_validate(monkeypatch):
     ctx = _Ctx(g)
     assert _run_check("build-oracles-downward-closed", ctx)[0] == "pass"
     not_closed = ctx.pm.table & ~1  # every face but the empty one
-    assert _run_check("build-oracles-downward-closed", _with_pm(g, not_closed)) == \
+    assert _run_check("build-oracles-downward-closed", _with(g, "pm", not_closed)) == \
         ("fail", "pm is not downward closed")
     outside = ctx.pm.table | 1 << (1 << len(g.edges))
-    assert _run_check("build-oracles-downward-closed", _with_pm(g, outside)) == \
+    assert _run_check("build-oracles-downward-closed", _with(g, "pm", outside)) == \
         ("fail", "pm ground mismatch")
 
 
@@ -237,8 +254,9 @@ def test_failure_payload_format():
 
 
 def test_dual_checks_fail_when_the_dual_is_wrong(monkeypatch, tmp_path, capsys):
-    # The path-missing build reads its own table, from t's end, so a broken
-    # Alexander dual must show in both duality checks.
+    # The path-missing build runs its own reachability from s, an edge
+    # crossable where it is removed, so a broken Alexander dual must show
+    # in both duality checks.
     for module in (simplicial, pathcomplex):
         monkeypatch.setattr(module, "_dual", lambda x, n: (1 << (1 << n)) - 1)
     path = tmp_path / "example.graph"
