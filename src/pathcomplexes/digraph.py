@@ -13,12 +13,14 @@ from s and one to t give every reachability answer, the distance from s
 to t and the edges reachability leaves useless, and one depth-first
 search gives the strongly connected components and the cycle witness.
 
-Graphs are immutable; deletion and contraction return new graphs and never
-renumber the surviving edge ids, so edge subsets remain comparable between
-a graph and its minors.  The public constructor checks every invariant of
-a graph.  ``Digraph._trusted`` builds one without those checks; only code
-that has already established them calls it: the file parser, which checks
-each line as it reads it, and the minors of an already valid graph.
+Graphs are immutable: setting an attribute raises ``AttributeError``, and
+``cached_property`` writes the cached queries straight into ``__dict__``.
+Deletion and contraction return new graphs and never renumber the
+surviving edge ids, so edge subsets remain comparable between a graph and
+its minors.  The public constructor checks every invariant of a graph.
+``Digraph._trusted`` builds one without those checks; only code that has
+already established them calls it: the file parser, which checks each
+line as it reads it, and the minors of an already valid graph.
 
 Every query walks one cached adjacency of (position, neighbour) pairs, in
 the order of ``edges``, where position i is ``edges[i]``; ``_position``
@@ -32,10 +34,9 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, islice
-from typing import Hashable, Iterator, Optional, Sequence
+from typing import Hashable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import ResourceLimitError
 
@@ -44,8 +45,7 @@ Vertex = Hashable
 QUASI_CYCLE_PACKING_LIMIT = 64
 
 
-@dataclass(frozen=True)
-class Walk:
+class Walk(NamedTuple):
     """A walk given by its vertices v0..vn and edges e1..en.
 
     Each edge ei runs from v(i-1) to vi.  Simple s-t-paths and cycle
@@ -60,15 +60,13 @@ class Walk:
         return frozenset(self.edges)
 
 
-@dataclass(frozen=True)
-class QuasiCycle:
+class QuasiCycle(NamedTuple):
     """Either the edge set of a cycle or a singleton holding a useless edge."""
 
     edges: frozenset[int]
     kind: str  # "cycle" | "useless-edge"
 
 
-@dataclass(frozen=True)
 class Digraph:
     """Directed multigraph (vertices, edges, s, t) with integer edge ids.
 
@@ -79,32 +77,44 @@ class Digraph:
     whatever the ids, and cache one breadth-first search per end.
     """
 
-    vertices: tuple
-    edges: tuple[tuple[int, Vertex, Vertex], ...]
-    s: Vertex
-    t: Vertex
-    edge_labels: Optional[tuple[str, ...]] = None
-
-    def __post_init__(self):
-        declared = set(self.vertices)
-        if len(declared) != len(self.vertices):
+    def __init__(self, vertices: tuple, edges: tuple[tuple[int, Vertex, Vertex], ...],
+                 s: Vertex, t: Vertex, edge_labels: Optional[tuple[str, ...]] = None):
+        declared = set(vertices)
+        if len(declared) != len(vertices):
             raise ValueError("duplicate vertex")
-        if self.s not in declared or self.t not in declared:
+        if s not in declared or t not in declared:
             raise ValueError("s and t must be declared vertices")
         seen_ids = set()
-        for eid, u, v in self.edges:
+        for eid, u, v in edges:
             if eid in seen_ids:
                 raise ValueError(f"duplicate edge id {eid}")
             seen_ids.add(eid)
             if u not in declared or v not in declared:
                 raise ValueError(f"edge {eid} uses an undeclared vertex")
-        if self.edge_labels is not None and len(self.edge_labels) != len(self.edges):
+        if edge_labels is not None and len(edge_labels) != len(edges):
             raise ValueError("edge_labels must align with edges")
+        vars(self).update(vertices=vertices, edges=edges, s=s, t=t, edge_labels=edge_labels)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Digraph is immutable")
+
+    def _key(self) -> tuple:
+        return (self.vertices, self.edges, self.s, self.t, self.edge_labels)
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (f"Digraph(vertices={self.vertices!r}, edges={self.edges!r}, s={self.s!r}, "
+                f"t={self.t!r}, edge_labels={self.edge_labels!r})")
 
     @classmethod
     def _trusted(cls, vertices: tuple, edges: tuple, s, t,
                  edge_labels: Optional[tuple]) -> "Digraph":
-        """The graph with these fields, without ``__post_init__``'s checks:
+        """The graph with these fields, without ``__init__``'s checks:
         for callers that already hold every invariant (module docstring)."""
         g = object.__new__(cls)
         vars(g).update(vertices=vertices, edges=edges, s=s, t=t, edge_labels=edge_labels)

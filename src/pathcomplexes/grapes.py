@@ -19,8 +19,7 @@ useless edge out of S by the cone test on the node's table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .digraph import Digraph
 from .errors import ResourceLimitError
@@ -29,23 +28,20 @@ from .simplicial import SimplicialComplex, _is_cone, _patterns
 GRAPE_GROUND_LIMIT = 12
 
 
-@dataclass(frozen=True)
-class BaseCase:
+class BaseCase(NamedTuple):
     """Ground set of size at most one; a grape unconditionally."""
 
     ground: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class ConeWitness:
+class ConeWitness(NamedTuple):
     """Which of the two children is a cone, and a working apex for it."""
 
     side: str  # "link" | "deletion"
     apex: int
 
 
-@dataclass(frozen=True)
-class SandwichWitness:
+class SandwichWitness(NamedTuple):
     """Element b with F ∪ {b} in the deletion for every link face F.
 
     Adding b to every link face builds a cone with apex b that sits
@@ -58,8 +54,7 @@ class SandwichWitness:
     vacuous: bool = False
 
 
-@dataclass(frozen=True)
-class Split:
+class Split(NamedTuple):
     apex: int
     link_child: "GrapeNode"
     deletion_child: "GrapeNode"

@@ -69,7 +69,7 @@ def parse_graph(text: str) -> Digraph:
     for end, vertex in ends.items():
         if vertex is None:
             raise GraphParseError(f"missing {end} line")
-    # Every check of ``Digraph.__post_init__`` was made above, line by line.
+    # Every check of ``Digraph.__init__`` was made above, line by line.
     return Digraph._trusted(tuple(vertices), tuple(edges), ends["s"], ends["t"],
                             tuple(labels))
 

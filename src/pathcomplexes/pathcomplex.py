@@ -21,8 +21,7 @@ The r-edge-disjoint complexes grow the path-free table by Menger's theorem.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .digraph import Digraph
 from .errors import ResourceLimitError
@@ -36,8 +35,7 @@ CASE_EMPTY_EDGE = "empty-edge-case"
 CASE_GENERIC_ACYCLIC = "generic-acyclic"
 
 
-@dataclass(frozen=True)
-class ChiReport:
+class ChiReport(NamedTuple):
     """Closed-form reduced Euler characteristic with its case and parity."""
 
     value: int
@@ -45,8 +43,7 @@ class ChiReport:
     parity: str  # "even" | "odd"; matches the face-count parity
 
 
-@dataclass(frozen=True)
-class HomotopyClass:
+class HomotopyClass(NamedTuple):
     """Empty complex, contractible, or a sphere of the given dimension."""
 
     kind: str  # "empty" | "contractible" | "sphere"
@@ -66,8 +63,7 @@ def sphere(dim: int) -> HomotopyClass:
     return HomotopyClass("sphere", dim)
 
 
-@dataclass(frozen=True)
-class DivisibilityReport:
+class DivisibilityReport(NamedTuple):
     """Divisibility of both f-polynomials by (1+x)^kappa.
 
     kappa is the exact disjoint quasi-cycle packing number; the remainders

@@ -13,11 +13,10 @@ The empty complex (no faces) and the irrelevant complex {∅} are distinct.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import compress
 from operator import or_
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import ResourceLimitError
 from .polynomial import IntPolynomial
@@ -27,8 +26,7 @@ FACE_ENUMERATION_LIMIT = 2 ** 20
 Face = frozenset
 
 
-@dataclass(frozen=True)
-class BettiVector:
+class BettiVector(NamedTuple):
     """Reduced Betti numbers over the 2-element field, nonzero entries only."""
 
     entries: tuple[tuple[int, int], ...]  # (dimension, count), ascending
@@ -96,7 +94,6 @@ def _dual(x: int, n: int) -> int:
     return int(format(x, f"0{1 << n}b")[::-1], 2) ^ ((1 << (1 << n)) - 1)
 
 
-@dataclass(frozen=True)
 class SimplicialComplex:
     """A downward-closed family of subsets of an ordered ground set.
 
@@ -104,11 +101,24 @@ class SimplicialComplex:
     f, bit i standing for ``ground[i]``, is a face.  The ground set may
     contain elements that appear in no face.  Instances produced by the
     operations below preserve downward closure; use ``from_faces`` to
-    validate externally supplied families.
+    validate externally supplied families.  Setting an attribute raises.
     """
 
-    ground: tuple[int, ...]
-    table: int
+    def __init__(self, ground: tuple[int, ...], table: int):
+        vars(self).update(ground=ground, table=table)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("SimplicialComplex is immutable")
+
+    def __eq__(self, other) -> bool:
+        return (type(other) is type(self) and self.table == other.table
+                and self.ground == other.ground)
+
+    def __hash__(self) -> int:
+        return hash((self.ground, self.table))
+
+    def __repr__(self) -> str:
+        return f"SimplicialComplex(ground={self.ground!r}, table={self.table!r})"
 
     @classmethod
     def from_faces(cls, ground: Iterable[int],

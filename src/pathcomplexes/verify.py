@@ -18,11 +18,10 @@ same graphs on any platform.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from math import comb
 from operator import or_
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .digraph import Digraph
 from .errors import ResourceLimitError
@@ -57,8 +56,7 @@ class SplitMix64:
         return self.next_u64() % n
 
 
-@dataclass(frozen=True)
-class CorpusSpec:
+class CorpusSpec(NamedTuple):
     """Parameters pinning a corpus; equal specs give identical corpora.
 
     ``graph_count`` random graphs are appended after the fixture battery.
@@ -587,23 +585,20 @@ def _assert_registry_complete():
 # -- harness ---------------------------------------------------------------------------
 
 
-@dataclass
-class CheckOutcome:
+class CheckOutcome(NamedTuple):
     check_id: str
     status: str  # "pass" | "fail" | "skip" | "info"
     detail: str = ""
 
 
-@dataclass
-class GraphVerification:
+class GraphVerification(NamedTuple):
     index: int
     graph: Digraph
     outcomes: list[CheckOutcome]
 
 
-@dataclass
-class VerificationReport:
-    graphs: list[GraphVerification] = field(default_factory=list)
+class VerificationReport(NamedTuple):
+    graphs: list[GraphVerification]
 
     def counts(self) -> dict[str, int]:
         out = {"pass": 0, "fail": 0, "skip": 0, "info": 0}
@@ -646,7 +641,5 @@ def run_all_checks(g: Digraph) -> list[CheckOutcome]:
 
 
 def verify_corpus(spec: CorpusSpec) -> VerificationReport:
-    report = VerificationReport()
-    for index, g in enumerate(generate_corpus(spec)):
-        report.graphs.append(GraphVerification(index, g, run_all_checks(g)))
-    return report
+    return VerificationReport([GraphVerification(index, g, run_all_checks(g))
+                               for index, g in enumerate(generate_corpus(spec))])
