@@ -8,10 +8,13 @@ the interpreter's recursion limit.  Exponential searches are confined by
 exact reductions: cycle enumeration and the useless-edge path search only
 enter strongly connected components, and the packing drops dominated
 quasi-cycles and packs each conflict component on its own.  The
-whole-graph queries are computed once per graph: one breadth-first search
-from s and one to t give every reachability answer, the distance from s
-to t and the edges reachability leaves useless, and one depth-first
-search gives the strongly connected components and the cycle witness.
+whole-graph queries are computed once per graph.  One in-degree peel from
+s (Kahn) decides whether the graph is acyclic with every edge on an s-t
+path; on such a graph the cycle and useless-edge queries answer from it
+alone.  Otherwise one breadth-first search from s and one to t give every
+reachability answer, the distance from s to t and the edges reachability
+leaves useless, and one depth-first search gives the strongly connected
+components and the cycle witness.
 
 Graphs are immutable: setting an attribute raises ``AttributeError``, and
 ``cached_property`` writes the cached queries straight into ``__dict__``.
@@ -280,8 +283,11 @@ class Digraph:
         order, so the answer is deterministic: the first edge that leads
         back onto the search path closes the witness.  The witness comes
         from the one search that also finds the strongly connected
-        components, which runs once per graph.
+        components, which runs once per graph, unless the graph peels
+        whole (``_generic_acyclic``): then it is acyclic, with no search.
         """
+        if self._generic_acyclic:
+            return None
         return self._components_and_cycle[1]
 
     def nonsinks(self) -> frozenset:
@@ -304,13 +310,16 @@ class Digraph:
         such path extends to an s-t-path that way.  So only edges inside
         a component need a search, and it stays inside that component;
         it is still exponential in the component's size.  An acyclic
-        graph needs no search.
+        graph needs no search, and one that peels whole
+        (``_generic_acyclic``) has no useless edge, with no search at all.
         """
         return self._useless
 
     @cached_property
     def _useless(self) -> frozenset[int]:
         """The edge set ``useless_edges`` returns."""
+        if self._generic_acyclic:
+            return frozenset()
         fwd, bwd = self._from_s, self._to_t
         useless = self._useless_by_reach
         comp, cycle = self._components_and_cycle
@@ -348,6 +357,31 @@ class Digraph:
         fwd, bwd, s, t = self._from_s, self._to_t, self.s, self.t
         return frozenset(eid for eid, u, v in self.edges
                          if u == v or u not in fwd or v not in bwd or v == s or u == t)
+
+    @cached_property
+    def _generic_acyclic(self) -> bool:
+        """True iff the graph is acyclic and every edge lies on a simple
+        s-t-path (with s = t: iff it has no edge), by one in-degree peel
+        from s (Kahn, CACM 1962): a dequeued vertex consumes its out-edges,
+        and a head with every in-edge consumed joins the queue.  It holds iff
+        no edge enters s (so s joins once), every dequeued vertex but t has an
+        edge out, and all |E| edges are consumed; an edge out of t fails one
+        of the last two, so it exits at once."""
+        out, inc = self._adj
+        if inc[self.s] or out[self.t]:
+            return False
+        left = {v: len(es) for v, es in inc.items()}  # vertex -> in-edges not consumed
+        queue, consumed, t = [self.s], 0, self.t
+        for v in queue:
+            es = out[v]
+            if not es and v != t:
+                return False
+            consumed += len(es)
+            for _, w in es:
+                left[w] -= 1
+                if not left[w]:
+                    queue.append(w)
+        return consumed == len(self.edges)
 
     @cached_property
     def _components_and_cycle(self) -> tuple[dict, Optional[Walk]]:
@@ -408,8 +442,11 @@ class Digraph:
         reach the root through such vertices, found by one backward scan.
         It enters no vertex from which the root is out of reach, and a
         root with an empty ``back`` closes only its self-loops.  Cycles
-        come as the search finds them, so a caller can stop early.
+        come as the search finds them, so a caller can stop early.  A graph
+        that peels whole (``_generic_acyclic``) has none to search.
         """
+        if self._generic_acyclic:
+            return
         comp, cycle = self._components_and_cycle
         if cycle is None:
             return

@@ -13,9 +13,11 @@ subsets (20 edges) before any table is allocated.
 One frontier pass counts the path-missing f-polynomial, on the useful
 edges with every run through vertices of one edge in and one out merged
 into one edge, and Alexander duality gives the path-free one.  A closed
-form finds each complex empty, contractible or a sphere, and its reduced
-Euler characteristic follows from the class; powers of (1+x) are checked
-to divide the f-polynomials.
+form finds each complex empty, contractible or a sphere: a sphere exactly
+when the graph's in-degree peel from s (``Digraph._generic_acyclic``)
+consumes every edge, which takes one linear pass and no depth-first search.
+Its reduced Euler characteristic follows from the class; powers of (1+x)
+are checked to divide the f-polynomials.
 The r-edge-disjoint complexes grow the path-free table by Menger's theorem.
 """
 
@@ -278,12 +280,6 @@ def _chi(g: Digraph, h: HomotopyClass) -> ChiReport:
     return ChiReport(value, case, "odd" if value % 2 else "even")
 
 
-def _cycle_or_useless(g: Digraph) -> bool:
-    """True iff g has a cycle or a useless edge.  Without a cycle,
-    uselessness is decided by reachability alone."""
-    return g.find_cycle() is not None or bool(g.useless_edges())
-
-
 def chi_pm_closed(g: Digraph) -> ChiReport:
     """Reduced Euler characteristic of the path-missing complex.
 
@@ -308,26 +304,25 @@ def chi_pf_closed(g: Digraph) -> ChiReport:
 
 
 def homotopy_pm(g: Digraph) -> HomotopyClass:
-    """Empty when no s-t-path exists; contractible under a useless edge or
-    cycle; otherwise a sphere of dimension |E| - |V'| - 1."""
-    if not g.has_st_path():
-        return EMPTY_COMPLEX
-    if _cycle_or_useless(g):
-        return CONTRACTIBLE
-    return sphere(len(g.edges) - len(g.nonsinks()) - 1)
+    """A sphere of dimension |E| - |V'| - 1 when the in-degree peel from s
+    consumes the graph (acyclic, every edge on an s-t-path); otherwise
+    contractible when an s-t-path exists (a useless edge or a cycle) and
+    empty when none does."""
+    if g._generic_acyclic:
+        return sphere(len(g.edges) - len(g.nonsinks()) - 1)
+    return CONTRACTIBLE if g.has_st_path() else EMPTY_COMPLEX
 
 
 def homotopy_pf(g: Digraph) -> HomotopyClass:
-    """Empty when s = t; the (-1)-sphere {∅} when edgeless with s != t;
-    contractible under a useless edge or cycle; otherwise a sphere of
-    dimension |V'| - 2."""
+    """Empty when s = t; the (-1)-sphere {∅} when edgeless with s != t; a
+    sphere of dimension |V'| - 2 when the in-degree peel from s consumes the
+    graph (acyclic, every edge on an s-t-path); otherwise contractible (a
+    useless edge or a cycle)."""
     if g.s == g.t:
         return EMPTY_COMPLEX
     if not g.edges:
         return sphere(-1)
-    if _cycle_or_useless(g):
-        return CONTRACTIBLE
-    return sphere(len(g.nonsinks()) - 2)
+    return sphere(len(g.nonsinks()) - 2) if g._generic_acyclic else CONTRACTIBLE
 
 
 # -- divisibility ---------------------------------------------------------------------

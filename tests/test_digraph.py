@@ -8,7 +8,8 @@ import pytest
 
 from pathcomplexes.digraph import QUASI_CYCLE_PACKING_LIMIT, Digraph, Walk
 from pathcomplexes.errors import ResourceLimitError
-from pathcomplexes.pathcomplex import build_pf_r, build_pm_r
+from pathcomplexes.pathcomplex import (build_pf_r, build_pm_r, chi_pf_closed,
+                                      chi_pm_closed, homotopy_pf, homotopy_pm)
 from pathcomplexes.verify import (CorpusSpec, double_cycle_graph,
                                   edgeless_graph, example_graph,
                                   generate_corpus, loop_graph, parallel_graph,
@@ -234,6 +235,41 @@ def test_cycles_match_networkx():
             assert [ends[e] for e in cycle.edges] == list(zip(vs, vs[1:]))
 
 
+def test_peel_matches_networkx():
+    # The in-degree peel holds exactly when networkx finds t reachable from
+    # s, no cycle, and every edge on a simple s-t-path (none when s = t).
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(11)
+    graphs = generate_corpus(CorpusSpec(graph_count=200))
+    graphs += generate_corpus(CorpusSpec(graph_count=200, seed=9))
+    graphs += [random_multigraph(rng) for _ in range(300)]
+    peeled = 0
+    for g in graphs:
+        multi = nx.MultiDiGraph()
+        multi.add_nodes_from(g.vertices)
+        multi.add_edges_from((u, v, eid) for eid, u, v in g.edges)
+        used = set() if g.s == g.t else {
+            k for path in nx.all_simple_edge_paths(multi, g.s, g.t) for _, _, k in path}
+        want = (nx.has_path(multi, g.s, g.t) and nx.is_directed_acyclic_graph(multi)
+                and used == set(g.edge_ids))
+        assert g._generic_acyclic == want
+        peeled += want
+    assert 30 < peeled < len(graphs) / 2
+
+
+def test_peel_on_the_edgeless_graphs():
+    # s != t: nothing to peel toward t, so no s-t-path: pm is empty and pf
+    # is {∅}.  s = t: the peel holds, pm is {∅} and pf is empty.
+    apart = edgeless_graph()
+    assert not apart._generic_acyclic
+    assert homotopy_pm(apart).describe() == "empty"
+    assert homotopy_pf(apart).describe() == "sphere -1"
+    together = Digraph.build(["s"], [], "s", "s")
+    assert together._generic_acyclic
+    assert homotopy_pm(together).describe() == "sphere -1"
+    assert homotopy_pf(together).describe() == "empty"
+
+
 def test_nonsinks():
     assert example_graph().nonsinks() == frozenset({"s", "p", "q", "r"})
     assert parallel_graph(4).nonsinks() == frozenset({"s"})
@@ -309,6 +345,34 @@ def test_acyclic_graphs_skip_the_cycle_listing(monkeypatch):
     assert calls == 0
     # The count is live: a graph with cycles does search.
     assert double_cycle_graph().quasi_cycles() and calls > 0
+
+
+def test_closed_forms_and_dag_queries_run_no_tarjan_pass(monkeypatch):
+    # The classes come from the in-degree peel and reachability, and on a
+    # DAG that peels whole the cycle, useless-edge and packing queries
+    # answer from the peel: none reads the strongly connected components.
+    def tarjan(self):
+        raise AssertionError("Tarjan pass run")
+
+    monkeypatch.setattr(Digraph, "_components_and_cycle", property(tarjan))
+    pins = [(example_graph(), "contractible", "contractible", "0 useless-or-cycle even",
+             "0 useless-or-cycle even"),
+            (double_cycle_graph(), "contractible", "contractible", "0 useless-or-cycle even",
+             "0 useless-or-cycle even"),
+            (path_graph(50), "sphere -1", "sphere 48", "-1 generic-acyclic odd",
+             "1 generic-acyclic odd"),
+            (grid_graph(6, 6), "sphere 24", "sphere 33", "1 generic-acyclic odd",
+             "-1 generic-acyclic odd")]
+    for g, pm, pf, chi_pm, chi_pf in pins:
+        assert homotopy_pm(g).describe() == pm and homotopy_pf(g).describe() == pf
+        assert " ".join(map(str, chi_pm_closed(g))) == chi_pm
+        assert " ".join(map(str, chi_pf_closed(g))) == chi_pf
+    for g in (path_graph(50), grid_graph(6, 6)):
+        assert g.find_cycle() is None and g.useless_edges() == frozenset()
+        assert g.max_disjoint_quasi_cycles() == (0, ())
+    # The patch is live: a cyclic graph's witness needs the pass.
+    with pytest.raises(AssertionError, match="Tarjan"):
+        example_graph().find_cycle()
 
 
 def test_packing_on_double_cycle_fixture():
