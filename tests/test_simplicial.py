@@ -127,6 +127,41 @@ def test_raw_table_guards():
         SimplicialComplex.from_faces(range(21), [()])
 
 
+def _bits_oracle(x, size):
+    return [i for i in range(size) if x >> i & 1]
+
+
+DECODERS = {"positions": simplicial._positions,
+            "sparse_positions": lambda x, size: simplicial._sparse_positions(x)}
+
+
+@pytest.mark.parametrize("decode", DECODERS.values(), ids=DECODERS.keys())
+def test_decoders_match_the_bit_oracle(decode):
+    rng = random.Random(35)
+    for n in range(15):
+        for size in (n, 1 << n):
+            tables = [0, (1 << size) - 1]
+            if size:
+                tables += [1, 1 << (size - 1)]
+            for k in range(1, min(8, size) + 1):
+                tables.append(sum(1 << i for i in rng.sample(range(size), k)))
+            tables += [rng.getrandbits(size) for _ in range(3)]
+            for x in tables:
+                assert list(decode(x, size)) == _bits_oracle(x, size), (size, x)
+
+
+@pytest.mark.parametrize("decode", DECODERS.values(), ids=DECODERS.keys())
+@pytest.mark.parametrize("density", [0.001, 0.5])
+def test_decoders_on_a_full_size_table(decode, density):
+    # 2^20 bits, too many for the shift oracle: the table is built from
+    # its digits, so the set positions are known beforehand.
+    rng = random.Random(35)
+    size = simplicial.FACE_ENUMERATION_LIMIT
+    digits = [rng.random() < density for _ in range(size)]
+    x = int("".join("01"[d] for d in reversed(digits)), 2)
+    assert list(decode(x, size)) == [i for i, d in enumerate(digits) if d]
+
+
 def test_f_polynomial():
     two_points = complex_of((), {1}, {2}, ground=(1, 2))
     assert two_points.f_polynomial() == IntPolynomial([1, 2])
